@@ -58,8 +58,12 @@ def run_checks(max_len: int) -> list[CheckResult]:
     results.append(_result("unrank-bijection", failures, f"{len(ordered)} indices"))
 
     top = max(max_len, 20)
-    failures = [f"completions({n}, 0) != M_{n}" for n in range(top + 1)
-                if oracle.completions(n, 0) != sequences.motzkin_number(n)]
+    failures = [f"completions({r}, {h}): table {sequences.completions(r, h)}, "
+                f"oracle {oracle.completions(r, h)}"
+                for r in range(top + 1) for h in range(r + 1)
+                if sequences.completions(r, h) != oracle.completions(r, h)]
+    failures += [f"completions({n}, 0) != M_{n}" for n in range(top + 1)
+                 if oracle.completions(n, 0) != sequences.motzkin_number(n)]
     results.append(_result("completions-vs-motzkin", failures, f"lengths 0..{top}"))
 
     failures = []

@@ -34,8 +34,9 @@ def padd(x: Word, y: Word) -> Word:
     for pos, (ca, cb) in enumerate(zip(a, b), start=1):
         if ca != ZERO and cb != ZERO:
             raise IntersectsError(pos)
+    spans_b = _top_spans(b)
     for pa in _top_spans(a):
-        for pb in _top_spans(b):
+        for pb in spans_b:
             if pa[1] < pb[0] or pb[1] < pa[0]:
                 continue
             inner, outer = (pa, pb) if pb[0] < pa[0] else (pb, pa)

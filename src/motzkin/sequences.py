@@ -1,27 +1,44 @@
 """Exact integer sequences behind the weight formulas.
 
-Values are plain Python ints (arbitrary precision) memoized in module
-tables that grow on demand.  Safe for concurrent readers once warmed up.
+The kernel is the completion table C(r, h), the Motzkin triangle (OEIS
+A026300), with M_n = C(n, 0); `weights` reads every weight, rank and unrank
+off it.  `unique_count`, `delta` and `delta_prime` keep the paper's
+definitions in terms of M_n, so they stay independent identities.  Values
+are exact ints; the table grows on demand, a whole row at a time.
 """
+
+from itertools import chain, islice
 
 from .errors import DomainViolationError
 
-_motzkin = [1, 1]
+_completion_rows: list[list[int]] = [[1]]
+
+
+def completions(remaining: int, height: int) -> int:
+    """C(remaining, height): suffixes of length `remaining` that close `height` opens.
+
+    Rows grow by the triangle rule C(r, h) = C(r-1, h-1) + C(r-1, h) + C(r-1, h+1).
+    """
+    if remaining < 0 or height < 0:
+        raise DomainViolationError(
+            f"completions requires remaining >= 0 and height >= 0, got ({remaining}, {height})")
+    if height > remaining:
+        return 0
+    while (r := len(_completion_rows)) <= remaining:
+        prev = _completion_rows[r - 1]
+        # C(r-1, h-1), C(r-1, h), C(r-1, h+1) for h = 0..r, zero off the triangle
+        lower = chain((0,), prev)
+        same = chain(prev, (0,))
+        higher = chain(islice(prev, 1, None), (0, 0))
+        # A slice store, not append: if another thread already added row r,
+        # it is overwritten with the same values instead of duplicated.
+        _completion_rows[r:r + 1] = [[a + b + c for a, b, c in zip(lower, same, higher)]]
+    return _completion_rows[remaining][height]
 
 
 def motzkin_number(n: int) -> int:
-    """Motzkin number M_n, by the convolution recurrence.
-
-    M_0 = M_1 = 1 and M_n = M_{n-1} + sum(M_i * M_{n-2-i} for i in 0..n-2);
-    division-free, so the values stay exact at any size.
-    """
-    if n < 0:
-        raise DomainViolationError(f"motzkin_number requires n >= 0, got {n}")
-    while len(_motzkin) <= n:
-        m = len(_motzkin)
-        conv = sum(_motzkin[i] * _motzkin[m - 2 - i] for i in range(m - 1))
-        _motzkin.append(_motzkin[m - 1] + conv)
-    return _motzkin[n]
+    """Motzkin number M_n = C(n, 0), the number of Motzkin words of length n."""
+    return completions(n, 0)
 
 
 def unique_count(n: int) -> int:

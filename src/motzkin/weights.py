@@ -1,18 +1,20 @@
 """Prime-pair weights, nest-weights, ranking, and pair decomposition.
 
 A prime pair of size n with its ')' in the k-th position from the word end
-has the shape (0^{n-k-1})0^{k-1}.  Its weight is M_{n-1} + delta(k); nested
-one level deep it contributes U_n + delta_prime(k) instead, and deeper
-nestings follow the three-in-one recurrence
+has the shape (0^{n-k-1})0^{k-1}.  Nested s levels deep it contributes
 
-    wt^(s+1)(n, k) = wt^(s)(n+1, k+1) - wt^(s)(n, k) - wt^(s-1)(n, k).
+    wt^(s)(n, k) = C(n-1, s) + C(k-1, s+1) + C(k-1, s+2),
 
-The rank of a whole word is the sum of the nest-weights of its matched
-pairs, each taken at its own depth.  That sum is validated exhaustively
-against the brute-force oracle by the test suite.
+one closed form for every depth over the completion table C of `sequences`.
+A word's rank is the sum of its pairs' nest-weights at their own depths;
+`unrank` walks the same table.
 
-Everything is a pure function over grow-only memo tables: safe for
-concurrent readers after a single-threaded warm-up.
+The paper's forms are identities of this one: depth 0 is M_{n-1} + delta(k)
+and depth 1 is U_n + delta_prime(k).  The paper's three-in-one recurrence
+wt^(s+1)(n, k) = wt^(s)(n+1, k+1) - wt^(s)(n, k) - wt^(s-1)(n, k) is the
+triangle rule applied term by term: C(r+1, h) - C(r, h) - C(r, h-1) =
+C(r, h+1) turns the right-hand side into C(n-1, s+1) + C(k-1, s+2) +
+C(k-1, s+3).  Induction on s from the two base depths proves the form.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from . import oracle, sequences
+from . import sequences
 from .errors import (
     DomainViolationError,
     NotCanonicalError,
@@ -31,39 +33,22 @@ from .word_model import CLOSE, OPEN, ZERO, Word, is_umw, matched_pairs
 
 
 def pair_weight(n: int, k: int) -> int:
-    """Rank of the single-pair word of size n with ')' k-th from the end."""
-    if not n > k >= 1:
-        raise DomainViolationError(f"pair weight requires n > k >= 1, got n={n} k={k}")
-    return sequences.motzkin_number(n - 1) + sequences.delta(k)
-
-
-_nest_memo: dict[tuple[int, int, int], int] = {}
+    """Rank of the single-pair word of size n with ')' k-th from the end (n > k >= 1)."""
+    return pair_nest_weight(n, k, 0)
 
 
 def pair_nest_weight(n: int, k: int, s: int) -> int:
     """Weight contributed by the (n, k) pair when nested s levels deep.
 
-    Order 0 is the plain pair weight and order 1 has the closed form
-    U_n + delta_prime(k); higher orders recurse through the three-in-one
-    equation, which lowers the order each step.  A pair with k <= s cannot
-    sit that deep (there are not enough closing brackets after it).
+    C(n-1, s) + C(k-1, s+1) + C(k-1, s+2) over the completion table.  A pair
+    with k <= s cannot sit that deep (there are not enough closing brackets
+    after it).
     """
     if s < 0 or not n > k > s:
         raise DomainViolationError(
             f"nest weight requires n > k > s >= 0, got n={n} k={k} s={s}")
-    if s == 0:
-        return pair_weight(n, k)
-    if s == 1:
-        return sequences.unique_count(n) + sequences.delta_prime(k)
-    key = (n, k, s)
-    value = _nest_memo.get(key)
-    if value is None:
-        value = (pair_nest_weight(n + 1, k + 1, s - 1)
-                 - pair_nest_weight(n, k, s - 1)
-                 - pair_nest_weight(n, k, s - 2))
-        assert value >= 0, f"negative nest weight at {key}"
-        _nest_memo[key] = value
-    return value
+    c = sequences.completions
+    return c(n - 1, s) + c(k - 1, s + 1) + c(k - 1, s + 2)
 
 
 def pair_catalog_index(n: int, k: int) -> int:
@@ -78,29 +63,6 @@ def prime_pair_word(n: int, k: int) -> Word:
     if not n > k >= 1:
         raise DomainViolationError(f"prime pair requires n > k >= 1, got n={n} k={k}")
     return Word(OPEN + ZERO * (n - k - 1) + CLOSE + ZERO * (k - 1))
-
-
-@dataclass(frozen=True)
-class PairParams:
-    """Prime-pair parameters: size n, right-bracket offset k, nesting depth s."""
-
-    n: int
-    k: int
-    s: int = 0
-
-    def __post_init__(self):
-        if self.s < 0 or not self.n > self.k > self.s:
-            raise DomainViolationError(
-                f"pair parameters require n > k > s >= 0, got {self.n}, {self.k}, {self.s}")
-
-    def word(self) -> Word:
-        return prime_pair_word(self.n, self.k)
-
-    def catalog_index(self) -> int:
-        return pair_catalog_index(self.n, self.k)
-
-    def nest_weight(self) -> int:
-        return pair_nest_weight(self.n, self.k, self.s)
 
 
 class RangeExtrema(NamedTuple):
@@ -128,17 +90,8 @@ def range_extrema(n: int) -> RangeExtrema:
 
 
 def rank(w: Word) -> int:
-    """Rank of a canonical word: the sum of its pairs' nest-weights.
-
-    A pair opening at position a and closing at b in a word of length L
-    enters as the (L-a+1, L-b+1) pair at its nesting depth.
-    """
-    if not is_umw(w):
-        raise NotCanonicalError(f"{w.text!r} is not canonical; strip leading zeros first")
-    length = len(w)
-    return sum(
-        pair_nest_weight(length - site.open_pos + 1, length - site.close_pos + 1, site.depth)
-        for site in matched_pairs(w))
+    """Rank of a canonical word: the sum of its pairs' nest-weights."""
+    return decompose(w).total
 
 
 def unrank(i: int) -> Word:
@@ -163,7 +116,7 @@ def unrank(i: int) -> Word:
         for symbol, new_height in ((ZERO, height), (OPEN, height + 1), (CLOSE, height - 1)):
             if new_height < 0:
                 continue
-            count = oracle.completions(left, new_height)
+            count = sequences.completions(left, new_height)
             if offset < count:
                 symbols.append(symbol)
                 height = new_height

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import sys
 import types
@@ -95,16 +96,28 @@ def _poisoned_module(name: str) -> types.ModuleType:
     return module
 
 
-def test_oracle_is_independent_of_the_formula_modules():
-    """Reimport the oracle with the formula modules stubbed out: it must
-    keep working, proving it never calls into them."""
+@contextlib.contextmanager
+def _fresh_package(*poisoned: str):
+    """Re-import the package from scratch with the named modules stubbed out."""
     saved = {name: mod for name, mod in sys.modules.items()
              if name == "motzkin" or name.startswith("motzkin.")}
     for name in saved:
         del sys.modules[name]
-    sys.modules["motzkin.weights"] = _poisoned_module("motzkin.weights")
-    sys.modules["motzkin.sequences"] = _poisoned_module("motzkin.sequences")
+    for name in poisoned:
+        sys.modules[name] = _poisoned_module(name)
     try:
+        yield
+    finally:
+        for name in [n for n in sys.modules
+                     if n == "motzkin" or n.startswith("motzkin.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_oracle_is_independent_of_the_formula_modules():
+    """Reimport the oracle with the formula modules stubbed out: it must
+    keep working, proving it never calls into them."""
+    with _fresh_package("motzkin.weights", "motzkin.sequences"):
         import motzkin.oracle as fresh
 
         words = fresh.enumerate_range(8)
@@ -112,8 +125,17 @@ def test_oracle_is_independent_of_the_formula_modules():
         assert fresh.completions(12, 0) == 15511
         assert fresh.rank_by_counting(words[0]) == 127
         assert fresh.rank_by_counting(words[-1]) == 322
-    finally:
-        for name in [n for n in sys.modules
-                     if n == "motzkin" or n.startswith("motzkin.")]:
-            del sys.modules[name]
-        sys.modules.update(saved)
+
+
+def test_formula_modules_are_independent_of_the_oracle():
+    """The converse: with the oracle stubbed out, ranking, unranking and
+    decomposition still work, so the referee never feeds the formulas."""
+    with _fresh_package("motzkin.oracle"):
+        import motzkin.weights as fresh
+        from motzkin.word_model import parse
+
+        w = parse("((00)0(0()))")
+        assert fresh.rank(w) == 9763
+        assert fresh.unrank(9763) == w
+        assert [(e.n, e.k, e.depth) for e in fresh.decompose(w).entries] == [
+            (12, 1, 0), (11, 8, 1), (6, 2, 1), (4, 3, 2)]

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
-from motzkin import sequences
+from motzkin import oracle, sequences
 from motzkin.errors import DomainViolationError
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835, 113634]
@@ -69,6 +72,51 @@ def test_delta_prime_cross_identity():
     for k in range(2, 51):
         assert sequences.delta_prime(k) == (
             sequences.delta(k + 1) - sequences.delta(k) - sequences.motzkin_number(k))
+
+
+def test_completions_spot_values_and_domain():
+    assert sequences.completions(0, 0) == 1
+    assert sequences.completions(3, 1) == 5
+    assert sequences.completions(5, 5) == 1
+    assert sequences.completions(4, 9) == 0
+    for bad in [(-1, 0), (3, -2)]:
+        with pytest.raises(DomainViolationError):
+            sequences.completions(*bad)
+
+
+def test_paper_sequences_are_identities_of_the_completion_table():
+    c = sequences.completions
+    for n in range(60):
+        assert sequences.motzkin_number(n) == c(n, 0)
+    for n in range(2, 60):
+        assert sequences.unique_count(n) == c(n - 1, 1)
+    for k in range(1, 60):
+        assert sequences.delta(k) == c(k - 1, 1) + c(k - 1, 2)
+    for k in range(2, 60):
+        assert sequences.delta_prime(k) == c(k - 1, 2) + c(k - 1, 3)
+
+
+def test_concurrent_growth_neither_duplicates_nor_skips_rows(monkeypatch):
+    monkeypatch.setattr(sequences, "_completion_rows", [[1]])
+    top = 300
+    expected = [[oracle.completions(r, h) for h in range(r + 1)] for r in range(top + 1)]
+
+    def grow():
+        for r in (*range(0, top, 7), top):
+            sequences.completions(r, 0)
+
+    threads = [threading.Thread(target=grow) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sequences._completion_rows == expected
 
 
 def test_memo_survives_out_of_order_access():

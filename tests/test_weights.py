@@ -11,7 +11,6 @@ from motzkin.errors import (
 from motzkin.weights import (
     Decomposition,
     DecompositionEntry,
-    PairParams,
     compose,
     decompose,
     pair_catalog_index,
@@ -81,17 +80,6 @@ def test_prime_pair_words_are_single_pair_words():
             sites = matched_pairs(w)
             assert len(sites) == 1
             assert len(w) - sites[0].close_pos + 1 == k
-
-
-def test_pair_params_helpers():
-    p = PairParams(11, 8, 1)
-    assert p.nest_weight() == 3932
-    assert p.catalog_index() == 53
-    assert str(PairParams(6, 2).word()) == "(000)0"
-    with pytest.raises(DomainViolationError):
-        PairParams(5, 5, 0)
-    with pytest.raises(DomainViolationError):
-        PairParams(6, 2, 2)
 
 
 def test_range_extrema_spot_values():
@@ -218,6 +206,14 @@ def test_first_column_weights_and_first_derivatives():
         assert pair_weight(n, 1) == sequences.motzkin_number(n - 1)
     for n in range(3, 21):
         assert pair_nest_weight(n, 2, 1) == sequences.unique_count(n)
+    # the paper's depth-0 and depth-1 closed forms, as identities of the one form
+    for n in range(2, 40):
+        for k in range(1, n):
+            assert pair_nest_weight(n, k, 0) == (
+                sequences.motzkin_number(n - 1) + sequences.delta(k))
+            if k >= 2:
+                assert pair_nest_weight(n, k, 1) == (
+                    sequences.unique_count(n) + sequences.delta_prime(k))
 
 
 def test_deepest_order_of_the_last_pair_counts_its_size():
@@ -248,3 +244,40 @@ def test_pair_weight_monotone_in_both_parameters():
 def test_rank_agrees_with_oracle(words_through):
     for w in words_through(10):
         assert rank(w) == oracle.rank_by_counting(w)
+
+
+def test_deep_nest_weight_satisfies_the_recurrence():
+    assert pair_nest_weight(1200, 1100, 1050) == (
+        pair_nest_weight(1201, 1101, 1049) - pair_nest_weight(1200, 1100, 1049)
+        - pair_nest_weight(1200, 1100, 1048))
+
+
+def test_deep_word_ranks_like_the_oracle_and_round_trips():
+    w = Word("(" * 400 + ")" * 400)
+    r = rank(w)
+    assert r == oracle.rank_by_counting(w)
+    assert unrank(r) == w
+
+
+@st.composite
+def canonical_words(draw):
+    """A balanced canonical word of length 100-400: '(' first, then any
+    symbol after which the word can still close."""
+    n = draw(st.integers(min_value=100, max_value=400))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    symbols, height = ["("], 1
+    for pos in range(1, n):
+        left = n - pos - 1
+        options = [(sym, h) for sym, h in (("0", height), ("(", height + 1), (")", height - 1))
+                   if 0 <= h <= left]
+        sym, height = options[picks[pos] % len(options)]
+        symbols.append(sym)
+    return Word("".join(symbols))
+
+
+@settings(deadline=None, max_examples=25)
+@given(canonical_words())
+def test_rank_and_unrank_of_long_words_agree_with_oracle(w):
+    r = rank(w)
+    assert r == oracle.rank_by_counting(w)
+    assert unrank(r) == w
