@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import checks, oracle, pair_arith, sequences, weights, word_model
 from .errors import MotzkinError
@@ -31,8 +32,32 @@ def _parse_pair(text: str) -> tuple[int, int]:
             f"expected open,close positions like 3,7 (got {text!r})")
 
 
+@contextmanager
+def _digits_for(length: int):
+    """Let str() print any rank below M_length < 3**length: under length/2 + 1 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit and max(limit, length // 2 + 1))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _index(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < len(text):
+            raise argparse.ArgumentTypeError(f"an index of {len(text)} characters is over "
+                                             f"Python's {limit}-digit limit for reading ints")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _cmd_rank(args) -> int:
-    print(weights.rank(word_model.parse(args.word)))
+    rank = weights.rank(word_model.parse(args.word))
+    with _digits_for(len(args.word)):
+        print(rank)
     return 0
 
 
@@ -43,18 +68,19 @@ def _cmd_unrank(args) -> int:
 
 def _cmd_decompose(args) -> int:
     d = weights.decompose(word_model.parse(args.word))
-    if args.json:
-        doc = {
-            "length": d.word_length,
-            "pairs": [{"n": e.n, "k": e.k, "depth": e.depth,
-                       "contribution": e.contribution} for e in d.entries],
-            "total": d.total,
-        }
-        print(json.dumps(doc))
-    else:
-        for e in d.entries:
-            print(f"{e.n} {e.k} {e.depth} {e.contribution}")
-        print(f"total {d.total}")
+    with _digits_for(d.word_length):
+        if args.json:
+            doc = {
+                "length": d.word_length,
+                "pairs": [{"n": e.n, "k": e.k, "depth": e.depth,
+                           "contribution": e.contribution} for e in d.entries],
+                "total": d.total,
+            }
+            print(json.dumps(doc))
+        else:
+            for e in d.entries:
+                print(f"{e.n} {e.k} {e.depth} {e.contribution}")
+            print(f"total {d.total}")
     return 0
 
 
@@ -75,8 +101,9 @@ def _cmd_sub(args) -> int:
 
 def _cmd_seq(args) -> int:
     first, fn = _SEQUENCES[args.name]
-    for i in range(first, args.upto + 1):
-        print(fn(i))
+    with _digits_for(args.upto + 2):  # every value is below M_{upto+2}
+        for i in range(first, args.upto + 1):
+            print(fn(i))
     return 0
 
 
@@ -124,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("unrank", help="print the word with the given rank")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=_index)
     p.set_defaults(func=_cmd_unrank)
 
     p = sub.add_parser("decompose", help="list the prime pairs of a word")

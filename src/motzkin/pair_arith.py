@@ -34,16 +34,15 @@ def padd(x: Word, y: Word) -> Word:
     for pos, (ca, cb) in enumerate(zip(a, b), start=1):
         if ca != ZERO and cb != ZERO:
             raise IntersectsError(pos)
-    spans_b = _top_spans(b)
-    for pa in _top_spans(a):
-        for pb in spans_b:
-            if pa[1] < pb[0] or pb[1] < pa[0]:
-                continue
-            inner, outer = (pa, pb) if pb[0] < pa[0] else (pb, pa)
-            if outer[0] < inner[0] and inner[1] < outer[1]:
+    # Each operand's blocks are disjoint, so after one sort by opening
+    # position any overlap shows up between neighbours.
+    spans = sorted(_top_spans(a) + _top_spans(b))
+    for outer, inner in zip(spans, spans[1:]):
+        if inner[0] < outer[1]:
+            if inner[1] < outer[1]:
                 raise NestedOperandsError(
                     f"block at {inner} lies inside the pair span {outer}")
-            raise NestedOperandsError(f"block spans {pa} and {pb} cross")
+            raise NestedOperandsError(f"block spans {outer} and {inner} cross")
     merged = "".join(cb if ca == ZERO else ca for ca, cb in zip(a, b))
     return strip_leading_zeros(Word(merged))
 

@@ -3,37 +3,58 @@
 The kernel is the completion table C(r, h), the Motzkin triangle (OEIS
 A026300), with M_n = C(n, 0); `weights` reads every weight, rank and unrank
 off it.  `unique_count`, `delta` and `delta_prime` keep the paper's
-definitions in terms of M_n, so they stay independent identities.  Values
-are exact ints; the table grows on demand, a whole row at a time.
+definitions in terms of M_n, so they stay independent identities.
+
+The table is kept by column, _columns[h][r] = C(r, h), each grown only as
+far as a call reads.  Column 0 holds the Motzkin numbers, grown by their
+P-recurrence (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2} (OEIS A001006).
+Column h+1 is the triangle rule solved for its top term, C(r, h+1) =
+C(r+1, h) - C(r, h) - C(r, h-1) with C(r, -1) = 0, so C(r, H) needs column
+h only through row r + H - h.  Columns only grow, by slice stores at their
+own rows, so threads growing the table at once never shift or duplicate an
+entry.
 """
 
-from itertools import chain, islice
+from itertools import islice, repeat
 
 from .errors import DomainViolationError
 
-_completion_rows: list[list[int]] = [[1]]
+_columns: list[list[int]] = [[1, 1]]
 
 
 def completions(remaining: int, height: int) -> int:
-    """C(remaining, height): suffixes of length `remaining` that close `height` opens.
-
-    Rows grow by the triangle rule C(r, h) = C(r-1, h-1) + C(r-1, h) + C(r-1, h+1).
-    """
+    """C(remaining, height): suffixes of length `remaining` that close `height` opens."""
     if remaining < 0 or height < 0:
         raise DomainViolationError(
             f"completions requires remaining >= 0 and height >= 0, got ({remaining}, {height})")
     if height > remaining:
         return 0
-    while (r := len(_completion_rows)) <= remaining:
-        prev = _completion_rows[r - 1]
-        # C(r-1, h-1), C(r-1, h), C(r-1, h+1) for h = 0..r, zero off the triangle
-        lower = chain((0,), prev)
-        same = chain(prev, (0,))
-        higher = chain(islice(prev, 1, None), (0, 0))
-        # A slice store, not append: if another thread already added row r,
-        # it is overwritten with the same values instead of duplicated.
-        _completion_rows[r:r + 1] = [[a + b + c for a, b, c in zip(lower, same, higher)]]
-    return _completion_rows[remaining][height]
+    try:
+        return _columns[height][remaining]
+    except IndexError:
+        _grow(remaining + height, height)
+        return _columns[height][remaining]
+
+
+def _grow(top: int, height: int) -> None:
+    """Extend each column h <= height through row top - h."""
+    _columns.extend([] for _ in range(height + 1 - len(_columns)))
+    low = height  # no column outgrows the one below it: stop at the first long enough
+    while low and len(_columns[low - 1]) <= top - low + 1:
+        low -= 1
+    for h in range(low, height + 1):
+        column, end = _columns[h], top - h + 1
+        n = len(column)
+        if h == 0:
+            new, a, b = [], column[n - 2], column[n - 1]
+            for m in range(n, end):
+                a, b = b, ((2 * m + 1) * b + 3 * (m - 1) * a) // (m + 2)
+                new.append(b)
+        else:
+            below, lower = _columns[h - 1], _columns[h - 2] if h > 1 else repeat(0)
+            new = [a - b - c for a, b, c in zip(
+                islice(below, n + 1, end + 1), islice(below, n, end), islice(lower, n, end))]
+        column[n:end] = new
 
 
 def motzkin_number(n: int) -> int:

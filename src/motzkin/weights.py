@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple
 from . import sequences
 from .errors import (
     DomainViolationError,
+    MotzkinError,
     NotCanonicalError,
     OverlapError,
     PositionConflictError,
@@ -99,7 +100,8 @@ def unrank(i: int) -> Word:
 
     Picks the length n with M_{n-1} <= i < M_n, then chooses one symbol at
     a time in alphabet order, skipping over completion counts until the
-    remaining offset is exhausted.
+    remaining offset is exhausted (')' comes last and needs no count).  A walk
+    that does not end at offset 0 and height 0 means an inconsistent table.
     """
     if i < 0:
         raise DomainViolationError(f"unrank requires a nonnegative index, got {i}")
@@ -111,19 +113,21 @@ def unrank(i: int) -> Word:
     offset = i - sequences.motzkin_number(n - 1)
     symbols = [OPEN]
     height = 1
-    for pos in range(1, n):
-        left = n - pos - 1
-        for symbol, new_height in ((ZERO, height), (OPEN, height + 1), (CLOSE, height - 1)):
-            if new_height < 0:
-                continue
-            count = sequences.completions(left, new_height)
+    for left in range(n - 2, -1, -1):
+        for symbol, step in ((ZERO, 0), (OPEN, 1)):
+            count = sequences.completions(left, height + step)
             if offset < count:
-                symbols.append(symbol)
-                height = new_height
                 break
             offset -= count
         else:
-            raise AssertionError("offset not exhausted within the chosen range")
+            symbol, step = CLOSE, -1
+        symbols.append(symbol)
+        height += step
+        if height < 0:  # only an inconsistent table gets here; reported below
+            break
+    if offset or height:
+        raise MotzkinError(f"unrank({i}) left offset {offset} at height {height}; "
+                           "the completion table is inconsistent")
     return Word("".join(symbols))
 
 

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from motzkin import cli
+from motzkin import cli, sequences
 
 from reference_table import ROWS
 
@@ -143,3 +144,35 @@ def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def test_ranks_past_the_int_str_limit_print_exactly(capsys):
+    word = "()" * 4600
+    limit = sys.get_int_max_str_digits()
+    code, rank_out, _ = run(capsys, "rank", word)
+    assert code == 0
+    code, text_out, _ = run(capsys, "decompose", word)
+    assert code == 0
+    code, json_out, _ = run(capsys, "decompose", "--json", word)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = sequences.motzkin_number(9200) - 1
+        assert len(str(expected)) > limit
+        assert int(rank_out) == expected
+        assert int(text_out.splitlines()[-1].split()[1]) == expected
+        assert json.loads(json_out)["total"] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_unrank_index_past_the_int_str_limit_names_the_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["unrank", "7" * (limit + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{limit}-digit" in err.splitlines()[-1]
+    assert "invalid int value" not in err
+    assert "7" * 50 not in err

@@ -117,3 +117,37 @@ def test_definedness_matches_the_constructive_enumeration(words_through):
             except MotzkinError:
                 outcome = False
             assert outcome == ((a.text, b.text) in defined), (a, b)
+
+
+def _top_spans_by_brute_force(text):
+    spans, opened = [], []
+    for pos, char in enumerate(text, start=1):
+        if char == "(":
+            opened.append(pos)
+        elif char == ")":
+            lo = opened.pop()
+            if not opened:
+                spans.append((lo, pos))
+    return spans
+
+
+def test_block_check_matches_a_pairwise_span_check(words_through):
+    words = words_through(8)
+    for x in words:
+        for y in words:
+            n = max(len(x), len(y))
+            a, b = x.text.rjust(n, "0"), y.text.rjust(n, "0")
+            if any(ca != "0" != cb for ca, cb in zip(a, b)):
+                expected = IntersectsError
+            elif any(not (pa[1] < pb[0] or pb[1] < pa[0])
+                     for pa in _top_spans_by_brute_force(a)
+                     for pb in _top_spans_by_brute_force(b)):
+                expected = NestedOperandsError
+            else:
+                expected = None
+            try:
+                padd(x, y)
+                outcome = None
+            except MotzkinError as exc:
+                outcome = type(exc)
+            assert outcome is expected, (x, y)

@@ -4,8 +4,9 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from motzkin import oracle, sequences
+from motzkin import oracle, sequences, weights
 from motzkin.errors import DomainViolationError
+from motzkin.word_model import Word
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835, 113634]
 UNIQUE = [1, 1, 2, 5, 12, 30, 76, 196, 512, 1353, 3610, 9713, 26324, 71799]
@@ -97,13 +98,17 @@ def test_paper_sequences_are_identities_of_the_completion_table():
 
 
 def test_concurrent_growth_neither_duplicates_nor_skips_rows(monkeypatch):
-    monkeypatch.setattr(sequences, "_completion_rows", [[1]])
+    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
     top = 300
-    expected = [[oracle.completions(r, h) for h in range(r + 1)] for r in range(top + 1)]
+    errors = []
 
     def grow():
-        for r in (*range(0, top, 7), top):
-            sequences.completions(r, 0)
+        try:
+            for r in (*range(0, top, 7), top):
+                sequences.completions(r, r // 3)
+                sequences.completions(r, 0)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
 
     threads = [threading.Thread(target=grow) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -116,7 +121,24 @@ def test_concurrent_growth_neither_duplicates_nor_skips_rows(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert sequences._completion_rows == expected
+    assert errors == []
+    columns = sequences._columns
+    assert len(columns) > top // 3 and len(columns[top // 3]) > top
+    for h, column in enumerate(columns):
+        assert column == [oracle.completions(r, h) for r in range(len(column))]
+
+
+def test_column_zero_holds_the_motzkin_numbers(monkeypatch):
+    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+    assert sequences.motzkin_number(300) == oracle.completions(300, 0)
+    assert sequences._columns[0] == [oracle.completions(n, 0) for n in range(301)]
+
+
+def test_flat_words_grow_only_the_lowest_columns(monkeypatch):
+    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+    w = Word("()" * 2000)
+    assert weights.unrank(weights.rank(w)) == w
+    assert len(sequences._columns) <= 4
 
 
 def test_memo_survives_out_of_order_access():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from motzkin import oracle, sequences, weights
 from motzkin.errors import (
     DomainViolationError,
+    MotzkinError,
     NotCanonicalError,
     OverlapError,
     PositionConflictError,
@@ -128,6 +129,21 @@ def test_unrank_worked_examples(i, text):
 def test_unrank_rejects_negative_index():
     with pytest.raises(DomainViolationError):
         unrank(-1)
+
+
+def test_unrank_reports_an_inconsistent_table(monkeypatch):
+    # one count off by one makes some walks end off the word; the check
+    # after the walk turns that into a MotzkinError naming the index, and
+    # no index may raise anything else
+    true = sequences.completions
+    monkeypatch.setattr(sequences, "completions", lambda r, h: true(r, h) + ((r, h) == (2, 1)))
+    with pytest.raises(MotzkinError, match=r"unrank\(6\)"):
+        unrank(6)
+    for i in range(1, 300):
+        try:
+            unrank(i)
+        except MotzkinError:
+            pass
 
 
 def test_rank_is_strictly_monotone(words_through):
@@ -256,6 +272,13 @@ def test_deep_word_ranks_like_the_oracle_and_round_trips():
     w = Word("(" * 400 + ")" * 400)
     r = rank(w)
     assert r == oracle.rank_by_counting(w)
+    assert unrank(r) == w
+
+
+def test_long_flat_word_ranks_to_the_range_maximum_and_round_trips():
+    w = Word("()" * 5000)
+    r = rank(w)
+    assert r == range_extrema(10000).max_weight
     assert unrank(r) == w
 
 
