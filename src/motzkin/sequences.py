@@ -12,7 +12,8 @@ Column h+1 is the triangle rule solved for its top term, C(r, h+1) =
 C(r+1, h) - C(r, h) - C(r, h-1) with C(r, -1) = 0, so C(r, H) needs column
 h only through row r + H - h.  Columns only grow, by slice stores at their
 own rows, so threads growing the table at once never shift or duplicate an
-entry.
+entry.  A stored entry is final: `weights` reads `_columns` directly on its
+hot paths and calls `completions`, which grows the table, only on a miss.
 """
 
 from itertools import islice, repeat

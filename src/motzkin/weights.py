@@ -15,6 +15,10 @@ wt^(s+1)(n, k) = wt^(s)(n+1, k+1) - wt^(s)(n, k) - wt^(s-1)(n, k) is the
 triangle rule applied term by term: C(r+1, h) - C(r, h) - C(r, h-1) =
 C(r, h+1) turns the right-hand side into C(n-1, s+1) + C(k-1, s+2) +
 C(k-1, s+3).  Induction on s from the two base depths proves the form.
+
+`pair_nest_weight` reads the table directly; `decompose` still calls it by
+its global name once per pair, so a tracer that rebinds the name sees every
+pair weight.
 """
 
 from __future__ import annotations
@@ -48,8 +52,12 @@ def pair_nest_weight(n: int, k: int, s: int) -> int:
     if s < 0 or not n > k > s:
         raise DomainViolationError(
             f"nest weight requires n > k > s >= 0, got n={n} k={k} s={s}")
-    c = sequences.completions
-    return c(n - 1, s) + c(k - 1, s + 1) + c(k - 1, s + 2)
+    columns = sequences._columns
+    try:
+        return columns[s][n - 1] + columns[s + 1][k - 1] + columns[s + 2][k - 1]
+    except IndexError:  # not stored yet: completions grows the table
+        c = sequences.completions
+        return c(n - 1, s) + c(k - 1, s + 1) + c(k - 1, s + 2)
 
 
 def pair_catalog_index(n: int, k: int) -> int:
@@ -107,32 +115,39 @@ def unrank(i: int) -> Word:
         raise DomainViolationError(f"unrank requires a nonnegative index, got {i}")
     if i == 0:
         return Word(ZERO)
-    n = 1
+    # M_n < 3^n, so the answer exceeds log_3 i >= floor(log2 i) / 1.59
+    n = max(1, (i.bit_length() - 1) * 100 // 159)
     while sequences.motzkin_number(n) <= i:
         n += 1
     offset = i - sequences.motzkin_number(n - 1)
     symbols = [OPEN]
     height = 1
+    columns = sequences._columns
     for left in range(n - 2, -1, -1):
-        for symbol, step in ((ZERO, 0), (OPEN, 1)):
-            count = sequences.completions(left, height + step)
-            if offset < count:
-                break
-            offset -= count
+        try:
+            zeros, opens = columns[height][left], columns[height + 1][left]
+        except IndexError:  # not stored yet: completions grows the table
+            c = sequences.completions
+            zeros, opens = c(left, height), c(left, height + 1)
+        if offset < zeros:
+            symbols.append(ZERO)
+        elif offset < zeros + opens:
+            offset -= zeros
+            symbols.append(OPEN)
+            height += 1
         else:
-            symbol, step = CLOSE, -1
-        symbols.append(symbol)
-        height += step
-        if height < 0:  # only an inconsistent table gets here; reported below
-            break
+            offset -= zeros + opens
+            symbols.append(CLOSE)
+            height -= 1
+            if height < 0:  # only an inconsistent table gets here; reported below
+                break
     if offset or height:
         raise MotzkinError(f"unrank({i}) left offset {offset} at height {height}; "
                            "the completion table is inconsistent")
     return Word("".join(symbols))
 
 
-@dataclass(frozen=True)
-class DecompositionEntry:
+class DecompositionEntry(NamedTuple):
     n: int
     k: int
     depth: int
@@ -156,13 +171,10 @@ def decompose(w: Word) -> Decomposition:
     """
     if not is_umw(w):
         raise NotCanonicalError(f"{w.text!r} is not canonical; strip leading zeros first")
-    length = len(w)
-    entries = []
-    for site in matched_pairs(w):
-        n = length - site.open_pos + 1
-        k = length - site.close_pos + 1
-        entries.append(DecompositionEntry(n, k, site.depth, pair_nest_weight(n, k, site.depth)))
-    return Decomposition(length, tuple(entries), sum(e.contribution for e in entries))
+    end = len(w.text) + 1
+    entries = tuple([DecompositionEntry(n, k, depth, pair_nest_weight(n, k, depth))
+                     for a, b, depth in matched_pairs(w) for n, k in ((end - a, end - b),)])
+    return Decomposition(end - 1, entries, sum([e.contribution for e in entries]))
 
 
 def compose(length: int, sites: Iterable[tuple[int, int]]) -> Word:

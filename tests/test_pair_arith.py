@@ -151,3 +151,58 @@ def test_block_check_matches_a_pairwise_span_check(words_through):
             except MotzkinError as exc:
                 outcome = type(exc)
             assert outcome is expected, (x, y)
+
+
+def _bad_positions(x, y, bad):
+    """Every right-aligned position where bad(symbol of x, symbol of y) holds."""
+    n = max(len(x.text), len(y.text))
+    pairs = zip(x.text.rjust(n, "0"), y.text.rjust(n, "0"))
+    return [pos for pos, (cx, cy) in enumerate(pairs, start=1) if bad(cx, cy)]
+
+
+def _clash(cx, cy):
+    return cx != "0" and cy != "0"
+
+
+def _stray(cx, cy):
+    return cy != "0" and cy != cx
+
+
+_CHECKS = {padd: (IntersectsError, _clash), psub: (NotSubwordError, _stray)}
+
+
+def _raised_position(op, x, y):
+    try:
+        op(x, y)
+    except _CHECKS[op][0] as exc:
+        return exc.position
+    except MotzkinError:
+        pass
+    return None
+
+
+def test_clash_positions_match_a_per_position_scan(words_through):
+    words = words_through(8)
+    for x in words:
+        for y in words:
+            for op, (_, bad) in _CHECKS.items():
+                first = next(iter(_bad_positions(x, y, bad)), None)
+                assert _raised_position(op, x, y) == first, (op.__name__, x, y)
+
+
+_W = 2000
+
+
+@pytest.mark.parametrize("op, x, y, position", [
+    (padd, "(" + "0" * (_W - 2) + ")", "()" + "0" * (_W - 2), 1),
+    (padd, "()" + "0" * (_W - 2), "(" + "0" * (_W - 2) + ")", 1),
+    (padd, "(" + "0" * (_W - 2) + ")", "()", _W),
+    (padd, "()", "(" + "0" * (_W - 2) + ")", _W),
+    (psub, "0(" + "0" * (_W - 3) + ")", "(" + "0" * (_W - 2) + ")", 1),
+    (psub, "()", "(" + "0" * (_W - 2) + ")", 1),
+    (psub, "(" + "0" * (_W - 4) + ")00", "(" + "0" * (_W - 2) + ")", _W),
+])
+def test_long_operands_clash_only_at_one_end(op, x, y, position):
+    x, y = Word(x), Word(y)
+    assert _bad_positions(x, y, _CHECKS[op][1]) == [position]
+    assert _raised_position(op, x, y) == position

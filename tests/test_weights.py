@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +87,14 @@ def test_prime_pair_words_are_single_pair_words():
             assert len(w) - sites[0].close_pos + 1 == k
 
 
+def test_unrank_finds_the_first_and_last_index_of_every_length():
+    # M_{n-1} and M_n - 1 are where the length search must stop at n
+    for n in range(2, 401):
+        extrema = range_extrema(n)
+        assert unrank(oracle.completions(n - 1, 0)) == extrema.min_word, n
+        assert unrank(oracle.completions(n, 0) - 1) == extrema.max_word, n
+
+
 def test_range_extrema_spot_values():
     assert range_extrema(1) == (Word("0"), 0, Word("0"), 0)
     assert range_extrema(2) == (Word("()"), 1, Word("()"), 1)
@@ -132,11 +144,12 @@ def test_unrank_rejects_negative_index():
 
 
 def test_unrank_reports_an_inconsistent_table(monkeypatch):
-    # one count off by one makes some walks end off the word; the check
-    # after the walk turns that into a MotzkinError naming the index, and
-    # no index may raise anything else
-    true = sequences.completions
-    monkeypatch.setattr(sequences, "completions", lambda r, h: true(r, h) + ((r, h) == (2, 1)))
+    # one stored count off by one makes some walks end off the word; the
+    # check after the walk turns that into a MotzkinError naming the index,
+    # and no index may raise anything else
+    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+    unrank(299)
+    sequences._columns[1][2] += 1
     with pytest.raises(MotzkinError, match=r"unrank\(6\)"):
         unrank(6)
     for i in range(1, 300):
@@ -282,12 +295,10 @@ def test_long_flat_word_ranks_to_the_range_maximum_and_round_trips():
     assert unrank(r) == w
 
 
-@st.composite
-def canonical_words(draw):
-    """A balanced canonical word of length 100-400: '(' first, then any
-    symbol after which the word can still close."""
-    n = draw(st.integers(min_value=100, max_value=400))
-    picks = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+def _canonical_text(picks):
+    """A balanced canonical word as long as picks: '(' first, then any
+    symbol after which the word can still close, chosen by the pick."""
+    n = len(picks)
     symbols, height = ["("], 1
     for pos in range(1, n):
         left = n - pos - 1
@@ -295,7 +306,15 @@ def canonical_words(draw):
                    if 0 <= h <= left]
         sym, height = options[picks[pos] % len(options)]
         symbols.append(sym)
-    return Word("".join(symbols))
+    return "".join(symbols)
+
+
+@st.composite
+def canonical_words(draw):
+    """A canonical word of length 100-400."""
+    n = draw(st.integers(min_value=100, max_value=400))
+    return Word(_canonical_text(draw(st.lists(st.integers(min_value=0, max_value=2),
+                                              min_size=n, max_size=n))))
 
 
 @settings(deadline=None, max_examples=25)
@@ -304,3 +323,47 @@ def test_rank_and_unrank_of_long_words_agree_with_oracle(w):
     r = rank(w)
     assert r == oracle.rank_by_counting(w)
     assert unrank(r) == w
+
+
+def _random_canonical_text(rng, n):
+    # a pick below 6 chooses evenly among 1, 2 or 3 options
+    return _canonical_text([rng.randrange(6) for _ in range(n)])
+
+
+def test_direct_reads_from_an_empty_table_agree_across_threads(monkeypatch):
+    rng = random.Random(2024)
+    jobs = []
+    for _ in range(8):
+        n = rng.randint(200, 400)
+        depth = rng.randint(n // 4, (n - 2) // 2)
+        deep = "(" * depth + _random_canonical_text(rng, n - 2 * depth) + ")" * depth
+        texts = [deep, _random_canonical_text(rng, n), _random_canonical_text(rng, 600 - n)]
+        jobs.append([(Word(t), oracle.rank_by_counting(Word(t))) for t in texts])
+    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+    results, errors = [], []
+
+    def work(job):
+        try:
+            for w, _ in job:
+                total = decompose(w).total
+                results.append((w, total, unrank(total)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(job,)) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    expected = {w: r for job in jobs for w, r in job}
+    assert len(results) == len(expected) == 24
+    for w, total, back in results:
+        assert total == expected[w]
+        assert back == w

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,6 +66,39 @@ def test_parse_unclosed_open():
     with pytest.raises(UnbalancedError) as exc:
         parse("(()")
     assert exc.value.position is None
+
+
+def _reference_verdict(text):
+    """A per-character check written out here: None for a valid text, else
+    the exception type, position and message `Word` must raise."""
+    if not text:
+        return EmptyInputError, None, "empty input"
+    height = 0
+    for pos, char in enumerate(text, start=1):
+        if char not in "0()":
+            return IllegalCharacterError, pos, f"illegal character {char!r} at position {pos}"
+        height += {"0": 0, "(": 1, ")": -1}[char]
+        if height < 0:
+            return UnbalancedError, pos, f"unbalanced word: unmatched ')' at position {pos}"
+    if height:
+        return UnbalancedError, None, "unbalanced word: unclosed '('"
+    return None
+
+
+def test_fast_check_accepts_and_rejects_like_a_per_character_check():
+    accepted = 0
+    for n in range(8):
+        for chars in product("0()x", repeat=n):
+            text = "".join(chars)
+            expected = _reference_verdict(text)
+            try:
+                Word(text)
+                outcome = None
+            except (EmptyInputError, IllegalCharacterError, UnbalancedError) as exc:
+                outcome = type(exc), getattr(exc, "position", None), str(exc)
+            assert outcome == expected, text
+            accepted += expected is None
+    assert accepted == sum(oracle.completions(n, 0) for n in range(1, 8))
 
 
 @given(word_texts())
