@@ -7,14 +7,13 @@ formulas it referees.  The CLI `verify` subcommand is a thin adapter over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle, sequences, weights
 from .word_model import compare_lex
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 
 from . import checks, oracle, pair_arith, sequences, weights, word_model
 from .errors import MotzkinError
@@ -32,17 +31,6 @@ def _parse_pair(text: str) -> tuple[int, int]:
             f"expected open,close positions like 3,7 (got {text!r})")
 
 
-@contextmanager
-def _digits_for(length: int):
-    """Let str() print any rank below M_length < 3**length: under length/2 + 1 digits."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit and max(limit, length // 2 + 1))
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _index(text: str) -> int:
     try:
         return int(text)
@@ -55,9 +43,7 @@ def _index(text: str) -> int:
 
 
 def _cmd_rank(args) -> int:
-    rank = weights.rank(word_model.parse(args.word))
-    with _digits_for(len(args.word)):
-        print(rank)
+    print(weights.rank(word_model.parse(args.word)))
     return 0
 
 
@@ -68,19 +54,18 @@ def _cmd_unrank(args) -> int:
 
 def _cmd_decompose(args) -> int:
     d = weights.decompose(word_model.parse(args.word))
-    with _digits_for(d.word_length):
-        if args.json:
-            doc = {
-                "length": d.word_length,
-                "pairs": [{"n": e.n, "k": e.k, "depth": e.depth,
-                           "contribution": e.contribution} for e in d.entries],
-                "total": d.total,
-            }
-            print(json.dumps(doc))
-        else:
-            for e in d.entries:
-                print(f"{e.n} {e.k} {e.depth} {e.contribution}")
-            print(f"total {d.total}")
+    if args.json:
+        doc = {
+            "length": d.word_length,
+            "pairs": [{"n": e.n, "k": e.k, "depth": e.depth,
+                       "contribution": e.contribution} for e in d.entries],
+            "total": d.total,
+        }
+        print(json.dumps(doc))
+    else:
+        for e in d.entries:
+            print(f"{e.n} {e.k} {e.depth} {e.contribution}")
+        print(f"total {d.total}")
     return 0
 
 
@@ -101,9 +86,8 @@ def _cmd_sub(args) -> int:
 
 def _cmd_seq(args) -> int:
     first, fn = _SEQUENCES[args.name]
-    with _digits_for(args.upto + 2):  # every value is below M_{upto+2}
-        for i in range(first, args.upto + 1):
-            print(fn(i))
+    for i in range(first, args.upto + 1):
+        print(fn(i))
     return 0
 
 
@@ -197,12 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)  # arguments are read under the current digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # values of any size are printed exactly
     try:
         return args.func(args)
     except MotzkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ def completions(remaining: int, height: int) -> int:
             if h + 1 < r:
                 total += prev[h + 1]
             row.append(total)
-        _completion_rows.append(row)
+        _completion_rows[r:r + 1] = [row]
     return _completion_rows[remaining][height]
 
 

@@ -28,8 +28,8 @@ def completions(remaining: int, height: int) -> int:
     if remaining < 0 or height < 0:
         raise DomainViolationError(
             f"completions requires remaining >= 0 and height >= 0, got ({remaining}, {height})")
-    if height > remaining:
-        return 0
+    if height >= remaining:  # nothing to grow: one all-')' suffix on the diagonal, none above
+        return int(height == remaining)
     try:
         return _columns[height][remaining]
     except IndexError:

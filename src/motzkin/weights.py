@@ -23,7 +23,6 @@ pair weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import sequences
@@ -154,8 +153,7 @@ class DecompositionEntry(NamedTuple):
     contribution: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A word's matched pairs as (n, k, depth) triples whose weights sum to its rank."""
 
     word_length: int
@@ -187,29 +185,20 @@ def compose(length: int, sites: Iterable[tuple[int, int]]) -> Word:
     if length < 1:
         raise DomainViolationError(f"compose requires length >= 1, got {length}")
     spans = [(a, b) for a, b in sites]
-    used: set[int] = set()
+    chars = [ZERO] * length
     for a, b in spans:
         if not (1 <= a <= length and 1 <= b <= length):
             raise DomainViolationError(f"span ({a}, {b}) falls outside 1..{length}")
         if a >= b:
             raise DomainViolationError(f"span ({a}, {b}) must open before it closes")
-        for pos in (a, b):
-            if pos in used:
+        for pos, char in ((a, OPEN), (b, CLOSE)):
+            if chars[pos - 1] != ZERO:
                 raise PositionConflictError(f"position {pos} claimed twice")
-            used.add(pos)
-
-    stack: list[tuple[int, int]] = []
-    for a, b in sorted(spans):
-        while stack and stack[-1][1] < a:
-            stack.pop()
-        if stack and b > stack[-1][1]:
-            raise OverlapError(f"spans {stack[-1]} and {(a, b)} cross")
-        stack.append((a, b))
-
-    chars = [ZERO] * length
-    for a, b in spans:
-        chars[a - 1] = OPEN
-        chars[b - 1] = CLOSE
-    if length >= 2 and chars[0] != OPEN:
+            chars[pos - 1] = char
+    w = Word("".join(chars))  # balanced: every ')' follows its own '('
+    crossing = set(spans).difference((a, b) for a, b, _ in matched_pairs(w))
+    if crossing:
+        raise OverlapError(f"span {min(crossing)} crosses another span")
+    if not is_umw(w):
         raise NotCanonicalError("position 1 must open a pair for lengths >= 2")
-    return Word("".join(chars))
+    return w

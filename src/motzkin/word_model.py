@@ -13,7 +13,6 @@ through the per-character loop, which names the first error and its position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
@@ -29,11 +28,14 @@ _STEP = {ZERO: 0, OPEN: 1, CLOSE: -1}
 _NOT_SYMBOLS = str.maketrans("", "", ZERO + OPEN + CLOSE)
 
 
-@dataclass(frozen=True)
 class Word:
     """A validated Motzkin word.  Immutable; construction checks balance."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        object.__setattr__(self, "text", text)
+        self.__post_init__()
 
     def __post_init__(self):
         text = self.text
@@ -51,6 +53,24 @@ class Word:
             if height < 0:
                 raise UnbalancedError(pos)
         raise UnbalancedError(None)  # every prefix is fine, so the counts differ
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.text == other.text if type(other) is Word else NotImplemented
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __repr__(self):
+        return f"Word(text={self.text!r})"
+
+    def __reduce__(self):
+        return Word, (self.text,)
 
     def __len__(self):
         return len(self.text)
@@ -70,8 +90,7 @@ class PairSite(NamedTuple):
 _pair_site = partial(tuple.__new__, PairSite)
 
 
-@dataclass(frozen=True)
-class PrimeSegment:
+class PrimeSegment(NamedTuple):
     """A top-level block of a word, carried with its trailing zeros."""
 
     word: Word

@@ -1,6 +1,6 @@
 import pytest
 
-from motzkin import checks, weights
+from motzkin import checks, weights, word_model
 
 
 def test_all_checks_pass_at_small_lengths():
@@ -35,3 +35,9 @@ def test_a_wrong_unrank_is_caught(monkeypatch):
     monkeypatch.setattr(weights, "unrank", skewed)
     results = {r.name: r for r in checks.run_checks(6)}
     assert not results["unrank-bijection"].passed
+
+
+def test_result_records_keep_their_field_names():
+    assert checks.CheckResult._fields == ("name", "passed", "detail")
+    assert weights.Decomposition._fields == ("word_length", "entries", "total")
+    assert word_model.PrimeSegment._fields == ("word", "start_pos")

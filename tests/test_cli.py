@@ -176,3 +176,10 @@ def test_unrank_index_past_the_int_str_limit_names_the_limit(capsys):
     assert f"{limit}-digit" in err.splitlines()[-1]
     assert "invalid int value" not in err
     assert "7" * 50 not in err
+
+
+def test_the_digit_limit_is_restored_after_a_failed_request(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, _, err = run(capsys, "rank", "(()")
+    assert code == 1 and err.startswith("error: ")
+    assert sys.get_int_max_str_digits() == limit

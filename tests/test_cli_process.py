@@ -31,3 +31,12 @@ def test_rank_of_a_10000_symbol_word_prints_in_a_bounded_process():
         assert int(answer) == sequences.motzkin_number(10000) - 1
     finally:
         sys.set_int_max_str_digits(sys_limit)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import sys, motzkin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

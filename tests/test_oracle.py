@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import sys
+import threading
 import types
 
 import pytest
@@ -63,6 +64,37 @@ def test_completions_rejects_negative_arguments():
         oracle.completions(-1, 0)
     with pytest.raises(DomainViolationError):
         oracle.completions(3, -2)
+
+
+def test_concurrent_growth_neither_duplicates_nor_skips_rows(monkeypatch):
+    monkeypatch.setattr(oracle, "_completion_rows", [[1]])
+    top = 300
+    errors = []
+
+    def grow():
+        try:
+            for r in (*range(0, top, 7), top):
+                oracle.completions(r, r // 3)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=grow) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    grown = oracle._completion_rows  # threads that passed the length check late add a few rows
+    assert len(grown) > top
+    monkeypatch.setattr(oracle, "_completion_rows", [[1]])
+    oracle.completions(len(grown) - 1, 0)  # the same rows, grown by one thread
+    assert grown == oracle._completion_rows
 
 
 @pytest.mark.parametrize("text, expected", [

@@ -128,6 +128,13 @@ def test_concurrent_growth_neither_duplicates_nor_skips_rows(monkeypatch):
         assert column == [oracle.completions(r, h) for r in range(len(column))]
 
 
+def test_a_diagonal_read_grows_nothing(monkeypatch):
+    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+    assert sequences.completions(200, 200) == 1
+    assert sequences.completions(200, 201) == 0
+    assert sequences._columns == [[1, 1]]
+
+
 def test_column_zero_holds_the_motzkin_numbers(monkeypatch):
     monkeypatch.setattr(sequences, "_columns", [[1, 1]])
     assert sequences.motzkin_number(300) == oracle.completions(300, 0)

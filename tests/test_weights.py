@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +215,47 @@ def test_compose_error_cases():
         compose(4, [(3, 2)])
     with pytest.raises(DomainViolationError):
         compose(0, [])
+
+
+def _reference_compose_error(length, spans):
+    """The error type a sort-and-stack crossing check raises, or None."""
+    used = set()
+    for a, b in spans:
+        if not (1 <= a <= length and 1 <= b <= length) or a >= b:
+            return DomainViolationError
+        if a in used or b in used:
+            return PositionConflictError
+        used.update((a, b))
+    stack = []
+    for a, b in sorted(spans):
+        while stack and stack[-1][1] < a:
+            stack.pop()
+        if stack and b > stack[-1][1]:
+            return OverlapError
+        stack.append((a, b))
+    if length >= 2 and 1 not in {a for a, _ in spans}:
+        return NotCanonicalError
+    return None
+
+
+def test_compose_raises_what_a_crossing_sweep_raises():
+    # every list of up to three spans over positions 0..length+1, lengths 1..5
+    checked = 0
+    for length in range(1, 6):
+        ends = range(length + 2)
+        spans = list(product(ends, ends))
+        for count in range(4):
+            for sites in product(spans, repeat=count):
+                expected = _reference_compose_error(length, sites)
+                try:
+                    w = compose(length, sites)
+                except MotzkinError as exc:
+                    assert type(exc) is expected, (length, sites)
+                else:
+                    assert expected is None, (length, sites)
+                    assert sorted((a, b) for a, b, _ in matched_pairs(w)) == sorted(sites)
+                checked += 1
+    assert checked > 100_000
 
 
 def test_compose_and_decompose_are_mutually_inverse(words_through):

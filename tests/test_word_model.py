@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -218,3 +220,27 @@ def test_enumeration_words_are_canonical(words_through):
     for w in words_through(8):
         assert is_umw(w)
     assert len(words_through(8)) == oracle.completions(8, 0)
+
+
+def test_word_keeps_its_value_contract():
+    w = Word("(0)")
+    assert repr(w) == "Word(text='(0)')"
+    assert w == Word("(0)") and w != Word("()0")
+    assert hash(w) == hash(Word("(0)"))
+    assert len({w, Word("(0)"), Word("0")}) == 2
+    assert Word("0") != "0" and Word("0") != ("0",)
+    assert Word("0").__eq__("0") is NotImplemented
+    with pytest.raises(AttributeError):
+        w.text = "0"
+    with pytest.raises(AttributeError):
+        del w.text
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert type(twin) is Word and twin == w and twin.text == "(0)"
+
+
+def test_unpickling_checks_the_text_again():
+    forged = pickle.dumps(Word("(0)")).replace(b"(0)", b"(0(")
+    with pytest.raises(UnbalancedError):
+        pickle.loads(forged)
