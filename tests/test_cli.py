@@ -146,6 +146,22 @@ def test_usage_errors_exit_2(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, dest, maximum", [
+    (["seq", "motzkin", "--upto"], "upto", cli.MAX_SEQ_UPTO),
+    (["table", "--max-n"], "max_n", cli.MAX_TABLE_N),
+])
+def test_sizes_over_the_maximum_are_usage_errors_naming_it(capsys, argv, dest, maximum):
+    assert getattr(cli.build_parser().parse_args(argv + [str(maximum)]), dest) == maximum
+    for bad, message in ((maximum + 1, f"{maximum + 1} is over the maximum of {maximum}"),
+                         ("1.5", "invalid int value: '1.5'")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [str(bad)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(message)
+
+
 def test_ranks_past_the_int_str_limit_print_exactly(capsys):
     word = "()" * 4600
     limit = sys.get_int_max_str_digits()

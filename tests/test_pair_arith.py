@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motzkin.errors import (
     IntersectsError,
@@ -8,9 +9,11 @@ from motzkin.errors import (
     NotTopLevelError,
 )
 from motzkin.pair_arith import padd, psub
+from motzkin.weights import rank
 from motzkin.word_model import Word, parse
 
 from arith_enumeration import defined_applications
+from long_words import canonical_text, canonical_texts
 
 ZERO_WORD = Word("0")
 
@@ -206,3 +209,46 @@ def test_long_operands_clash_only_at_one_end(op, x, y, position):
     x, y = Word(x), Word(y)
     assert _bad_positions(x, y, _CHECKS[op][1]) == [position]
     assert _raised_position(op, x, y) == position
+
+
+@st.composite
+def block_disjoint_operands(draw):
+    """x, y and their merge: canonical chunks of 2-40 symbols along 100-1000
+    symbols, each chunk given whole to one operand and zeros to the other."""
+    n = draw(st.integers(min_value=100, max_value=1000))
+    sides, merged = ([], []), []
+    while len(merged) < n:
+        chunk = canonical_text(draw(st.binary(min_size=2, max_size=40)))
+        mine = draw(st.booleans())
+        sides[mine].append(chunk)
+        sides[not mine].append("0" * len(chunk))
+        merged += chunk
+    x, y = ("".join(side).lstrip("0") or "0" for side in sides)
+    return Word(x), Word(y), Word("".join(merged))
+
+
+@settings(deadline=None, max_examples=25)
+@given(block_disjoint_operands())
+def test_long_block_disjoint_operands_add_ranks_and_subtract_back(operands):
+    x, y, merged = operands
+    z = padd(x, y)
+    assert z == merged
+    assert rank(z) == rank(x) + rank(y)
+    assert psub(z, y) == x
+    assert psub(z, x) == y
+
+
+@settings(deadline=None, max_examples=25)
+@given(canonical_texts(), st.data())
+def test_a_block_inside_a_long_pair_span_is_refused(text, data):
+    # "()" lands on two zeros inserted after `cut` symbols of the host word
+    cut = data.draw(st.integers(min_value=1, max_value=len(text)))
+    host = Word(text[:cut] + "00" + text[cut:])
+    block = Word("()" + "0" * (len(text) - cut))
+    inside = text[:cut].count("(") > text[:cut].count(")")
+    for x, y in ((host, block), (block, host)):
+        if inside:
+            with pytest.raises(NestedOperandsError):
+                padd(x, y)
+        else:
+            assert rank(padd(x, y)) == rank(x) + rank(y)

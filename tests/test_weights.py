@@ -29,6 +29,7 @@ from motzkin.weights import (
 )
 from motzkin.word_model import Word, matched_pairs, parse
 
+from long_words import canonical_text
 from reference_table import ROWS
 
 
@@ -191,6 +192,28 @@ def test_decompose_worked_examples():
     assert decompose(parse("0")) == Decomposition(1, (), 0)
 
 
+def test_decompose_weighs_each_pair_once_in_opening_order(monkeypatch, words_through):
+    calls = []
+
+    def recorded(n, k, s):
+        calls.append((n, k, s))
+        return pair_nest_weight(n, k, s)
+
+    monkeypatch.setattr(weights, "pair_nest_weight", recorded)
+    rng = random.Random(7)
+    texts = [w.text for w in words_through(9)]
+    texts += [_random_canonical_text(rng, n) for n in (300, 1000)]
+    for text in texts:
+        w = parse(text)
+        calls.clear()
+        entries = decompose(w).entries
+        end = len(text) + 1
+        assert calls == [(end - a, end - b, s) for a, b, s in matched_pairs(w)]
+        assert [type(e) for e in entries] == [DecompositionEntry] * len(calls)
+        assert [(e.n, e.k, e.depth, e.contribution) for e in entries] == [
+            (*c, pair_nest_weight(*c)) for c in calls]
+
+
 def test_decompose_rejects_leading_zeros():
     with pytest.raises(NotCanonicalError):
         decompose(parse("00()"))
@@ -337,26 +360,12 @@ def test_long_flat_word_ranks_to_the_range_maximum_and_round_trips():
     assert unrank(r) == w
 
 
-def _canonical_text(picks):
-    """A balanced canonical word as long as picks: '(' first, then any
-    symbol after which the word can still close, chosen by the pick."""
-    n = len(picks)
-    symbols, height = ["("], 1
-    for pos in range(1, n):
-        left = n - pos - 1
-        options = [(sym, h) for sym, h in (("0", height), ("(", height + 1), (")", height - 1))
-                   if 0 <= h <= left]
-        sym, height = options[picks[pos] % len(options)]
-        symbols.append(sym)
-    return "".join(symbols)
-
-
 @st.composite
 def canonical_words(draw):
     """A canonical word of length 100-400."""
     n = draw(st.integers(min_value=100, max_value=400))
-    return Word(_canonical_text(draw(st.lists(st.integers(min_value=0, max_value=2),
-                                              min_size=n, max_size=n))))
+    return Word(canonical_text(draw(st.lists(st.integers(min_value=0, max_value=2),
+                                             min_size=n, max_size=n))))
 
 
 @settings(deadline=None, max_examples=25)
@@ -369,7 +378,7 @@ def test_rank_and_unrank_of_long_words_agree_with_oracle(w):
 
 def _random_canonical_text(rng, n):
     # a pick below 6 chooses evenly among 1, 2 or 3 options
-    return _canonical_text([rng.randrange(6) for _ in range(n)])
+    return canonical_text([rng.randrange(6) for _ in range(n)])
 
 
 def test_direct_reads_from_an_empty_table_agree_across_threads(monkeypatch):

@@ -1,9 +1,9 @@
 import copy
 import pickle
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from motzkin import oracle, word_model
 from motzkin.word_model import (
@@ -12,11 +12,14 @@ from motzkin.word_model import (
     compare_lex,
     is_umw,
     matched_pairs,
+    pair_triples,
     parse,
     prime_segments,
     strip_leading_zeros,
 )
 from motzkin.errors import EmptyInputError, IllegalCharacterError, UnbalancedError
+
+from long_words import canonical_texts
 
 
 @st.composite
@@ -144,6 +147,42 @@ def test_matched_pairs_form_a_laminar_family(text):
             if b.open_pos < a.open_pos and a.close_pos < b.close_pos:
                 enclosing += 1
         assert a.depth == enclosing
+
+
+def _pairs_by_scanning(text):
+    """Each '(' with the first later ')' that brings the height back to the
+    height before the '(', which is also the pair's depth.  Scans right to
+    left, keeping the nearest such ')' for every height."""
+    heights = list(accumulate(map({"0": 0, "(": 1, ")": -1}.get, text), initial=0))
+    pairs, nearest_return = [], {}
+    for pos in range(len(text), 0, -1):
+        if text[pos - 1] == ")":
+            nearest_return[heights[pos]] = pos
+        elif text[pos - 1] == "(":
+            pairs.append((pos, nearest_return[heights[pos - 1]], heights[pos - 1]))
+    return pairs[::-1]
+
+
+def _check_pair_triples(text):
+    w = parse(text)
+    triples, sites = pair_triples(w), matched_pairs(w)
+    assert all(type(t) is tuple for t in triples)
+    assert all(type(s) is PairSite for s in sites)
+    assert triples == [tuple(s) for s in sites]
+    return triples
+
+
+def test_pair_triples_match_a_scan_of_every_short_word(words_through):
+    for w in words_through(12):
+        for text in (w.text, "0" + w.text, "000" + w.text):
+            assert _check_pair_triples(text) == _pairs_by_scanning(text)
+
+
+@settings(deadline=None, max_examples=30)
+@given(canonical_texts(), st.integers(min_value=0, max_value=3))
+def test_pair_triples_of_long_words_are_the_named_pairs(text, zeros):
+    padded = "0" * zeros + text
+    assert _check_pair_triples(padded) == _pairs_by_scanning(padded)
 
 
 def test_closing_room_bounds_depth(words_through):
