@@ -43,7 +43,7 @@ def _word(opens: int, closes: int) -> Word:
     """'(' at the set bits of opens, ')' at those of closes, no leading zeros."""
     # int(..., 16) of a binary numeral gives each bit a hex digit of its own
     digits = int(format(opens, "b"), 16) + (int(format(closes, "b"), 16) << 1)
-    return Word(format(digits, "x").translate(_FROM_HEX))
+    return Word._balanced(format(digits, "x").translate(_FROM_HEX))
 
 
 def padd(x: Word, y: Word) -> Word:

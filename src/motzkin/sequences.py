@@ -10,13 +10,15 @@ far as a call reads.  Column 0 holds the Motzkin numbers, grown by their
 P-recurrence (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2} (OEIS A001006).
 Column h+1 is the triangle rule solved for its top term, C(r, h+1) =
 C(r+1, h) - C(r, h) - C(r, h-1) with C(r, -1) = 0, so C(r, H) needs column
-h only through row r + H - h.  Columns only grow, by slice stores at their
-own rows, so threads growing the table at once never shift or duplicate an
-entry.  A stored entry is final: `weights` reads `_columns` directly on its
-hot paths and calls `completions`, which grows the table, only on a miss.
+h only through row r + H - h.  A growth call slices only the new rows out
+of the columns below, so its cost is proportional to the rows it adds.
+Columns only grow, by slice stores at their own rows, so threads growing
+the table at once never shift or duplicate an entry.  A stored entry is
+final: `weights` reads `_columns` directly on its hot paths and calls
+`completions`, which grows the table, only on a miss.
 """
 
-from itertools import islice, repeat
+from itertools import repeat
 
 from .errors import DomainViolationError
 
@@ -52,9 +54,8 @@ def _grow(top: int, height: int) -> None:
                 a, b = b, ((2 * m + 1) * b + 3 * (m - 1) * a) // (m + 2)
                 new.append(b)
         else:
-            below, lower = _columns[h - 1], _columns[h - 2] if h > 1 else repeat(0)
-            new = [a - b - c for a, b, c in zip(
-                islice(below, n + 1, end + 1), islice(below, n, end), islice(lower, n, end))]
+            below, lower = _columns[h - 1], _columns[h - 2][n:end] if h > 1 else repeat(0)
+            new = [a - b - c for a, b, c in zip(below[n + 1:end + 1], below[n:end], lower)]
         column[n:end] = new
 
 

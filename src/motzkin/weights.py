@@ -109,8 +109,9 @@ def unrank(i: int) -> Word:
 
     Picks the length n with M_{n-1} <= i < M_n, then chooses one symbol at
     a time in alphabet order, skipping over completion counts until the
-    remaining offset is exhausted (')' comes last and needs no count).  A walk
-    that does not end at offset 0 and height 0 means an inconsistent table.
+    remaining offset is exhausted (the '(' count is read only at brackets, and
+    ')' comes last and needs no count).  A walk that does not end at offset 0
+    and height 0 means an inconsistent table.
     """
     if i < 0:
         raise DomainViolationError(f"unrank requires a nonnegative index, got {i}")
@@ -123,21 +124,25 @@ def unrank(i: int) -> Word:
     offset = i - sequences.motzkin_number(n - 1)
     symbols = [OPEN]
     height = 1
-    columns = sequences._columns
+    columns, c = sequences._columns, sequences.completions
     for left in range(n - 2, -1, -1):
         try:
-            zeros, opens = columns[height][left], columns[height + 1][left]
+            zeros = columns[height][left]
         except IndexError:  # not stored yet: completions grows the table
-            c = sequences.completions
-            zeros, opens = c(left, height), c(left, height + 1)
+            zeros = c(left, height)
         if offset < zeros:
             symbols.append(ZERO)
-        elif offset < zeros + opens:
-            offset -= zeros
+            continue
+        offset -= zeros
+        try:
+            opens = columns[height + 1][left]
+        except IndexError:
+            opens = c(left, height + 1)
+        if offset < opens:
             symbols.append(OPEN)
             height += 1
         else:
-            offset -= zeros + opens
+            offset -= opens
             symbols.append(CLOSE)
             height -= 1
             if height < 0:  # only an inconsistent table gets here; reported below
@@ -145,7 +150,7 @@ def unrank(i: int) -> Word:
     if offset or height:
         raise MotzkinError(f"unrank({i}) left offset {offset} at height {height}; "
                            "the completion table is inconsistent")
-    return Word("".join(symbols))
+    return Word._balanced("".join(symbols))
 
 
 class DecompositionEntry(NamedTuple):

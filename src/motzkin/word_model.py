@@ -9,6 +9,7 @@ for ranking has none, the single word "0" being the one exception.
 nothing, the running height (`accumulate` over the steps) never drops below
 0, and the '(' and ')' counts agree.  Only a text that fails this goes
 through the per-character loop, which names the first error and its position.
+Only `Word._balanced` skips the check, for two outputs known to balance.
 
 `pair_triples` is the pair matcher, with plain (open, close, depth) tuples;
 `matched_pairs` is its named view, the same pairs as `PairSite`s.
@@ -56,6 +57,14 @@ class Word:
             if height < 0:
                 raise UnbalancedError(pos)
         raise UnbalancedError(None)  # every prefix is fine, so the counts differ
+
+    @classmethod
+    def _balanced(cls, text: str) -> Word:
+        """A Word without the check, for `weights.unrank` (its walk ends at
+        height 0, never below) and `pair_arith._word` (whole balanced blocks)."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "text", text)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -86,10 +86,9 @@ def test_defined_applications_roundtrip(words_through):
     seen = 0
     for z in words_through(8):
         for x, y in defined_applications(z):
-            assert padd(x, y) == z
-            assert padd(y, x) == z
-            assert psub(z, x) == y
-            assert psub(z, y) == x
+            for out, expected in ((padd(x, y), z), (padd(y, x), z), (psub(z, x), y),
+                                  (psub(z, y), x)):
+                assert out == expected and Word(out.text) == out
             seen += 1
     assert seen == 231  # sum over words of 2^(top blocks - 1) - 1
 
@@ -236,6 +235,8 @@ def test_long_block_disjoint_operands_add_ranks_and_subtract_back(operands):
     assert rank(z) == rank(x) + rank(y)
     assert psub(z, y) == x
     assert psub(z, x) == y
+    for out in (z, psub(z, y), psub(z, x)):
+        assert Word(out.text) == out
 
 
 @settings(deadline=None, max_examples=25)

@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 
@@ -146,6 +147,40 @@ def test_flat_words_grow_only_the_lowest_columns(monkeypatch):
     w = Word("()" * 2000)
     assert weights.unrank(weights.rank(w)) == w
     assert len(sequences._columns) <= 4
+
+
+class _SliceOnlyColumn(list):
+    """A stored column that refuses iteration, so growth may only slice it."""
+
+    def __iter__(self):
+        raise AssertionError("a growth call iterated over the stored rows")
+
+
+def test_growth_reads_only_the_new_rows_of_stored_columns(monkeypatch):
+    top, height = 120, 6
+    monkeypatch.setattr(sequences, "_columns", [
+        _SliceOnlyColumn(oracle.completions(r, h) for r in range(top - h + 1))
+        for h in range(height + 1)])
+    for r, h in [(top + 3, 0), (top - 1, 2), (top - 3, height), (top - 2, height + 3)]:
+        assert sequences.completions(r, h) == oracle.completions(r, h)
+    columns = sequences._columns
+    assert len(columns) == height + 4
+    for h, column in enumerate(columns):
+        if h <= height:
+            assert type(column) is _SliceOnlyColumn and len(column) > top - h + 1
+        assert column[:] == [oracle.completions(r, h) for r in range(len(column))]
+
+
+def test_growing_one_row_at_a_time_matches_the_oracle(monkeypatch):
+    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+    rng = random.Random(300)
+    for r in range(2, 301):
+        for h in (0, 1, r % 7, r // 4, rng.randrange(r)):
+            sequences.completions(r, h)
+    columns = sequences._columns
+    assert len(columns) > 250 and len(columns[0]) > 300
+    for h, column in enumerate(columns):
+        assert column == [oracle.completions(r, h) for r in range(len(column))]
 
 
 def test_memo_survives_out_of_order_access():

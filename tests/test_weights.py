@@ -29,7 +29,7 @@ from motzkin.weights import (
 )
 from motzkin.word_model import Word, matched_pairs, parse
 
-from long_words import canonical_text
+from long_words import canonical_text, canonical_texts
 from reference_table import ROWS
 
 
@@ -159,6 +159,19 @@ def test_unrank_reports_an_inconsistent_table(monkeypatch):
             unrank(i)
         except MotzkinError:
             pass
+
+
+def test_unrank_of_every_short_word_is_a_valid_word(words_through):
+    for w in words_through(12):
+        out = unrank(rank(w))
+        assert type(out) is Word and out.text == w.text and Word(out.text) == out
+
+
+@settings(deadline=None, max_examples=25)
+@given(canonical_texts())
+def test_unrank_of_long_words_is_a_valid_word(text):
+    out = unrank(rank(Word(text)))
+    assert type(out) is Word and out.text == text and Word(out.text) == out
 
 
 def test_rank_is_strictly_monotone(words_through):

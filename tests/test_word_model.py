@@ -1,11 +1,13 @@
 import copy
+import inspect
 import pickle
 from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motzkin import oracle, word_model
+from motzkin import oracle, weights, word_model
+from motzkin.pair_arith import padd, psub
 from motzkin.word_model import (
     PairSite,
     Word,
@@ -277,6 +279,35 @@ def test_word_keeps_its_value_contract():
         w.extra = 1
     for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
         assert type(twin) is Word and twin == w and twin.text == "(0)"
+
+
+def test_unrank_and_block_arithmetic_build_words_without_the_check(monkeypatch):
+    # their outputs balance by construction; every other Word is checked
+    x, y = Word("(0)00"), Word("()")
+    z = padd(x, y)
+
+    def refuse(self):
+        raise AssertionError(f"{self.text!r} was checked again")
+
+    monkeypatch.setattr(Word, "__post_init__", refuse)
+    built = [weights.unrank(10**40), padd(x, y), psub(z, y), psub(z, x)]
+    with pytest.raises(AssertionError):
+        Word("()")
+    monkeypatch.undo()
+    for out in built:
+        assert type(out) is Word and Word(out.text) == out
+        with pytest.raises(AttributeError):
+            out.text = "0"
+    assert built[1:] == [z, x, y]
+
+
+def test_the_unchecked_constructor_is_no_public_function():
+    # bench/spans.py counts calls to the public functions of word_model
+    public = {name for name, obj in vars(word_model).items()
+              if inspect.isfunction(obj) and obj.__module__ == word_model.__name__
+              and not name.startswith("_")}
+    assert public == {"parse", "is_umw", "pair_triples", "matched_pairs", "prime_segments",
+                      "compare_lex", "strip_leading_zeros"}
 
 
 def test_unpickling_checks_the_text_again():
