@@ -14,10 +14,12 @@ from .errors import MotzkinError
 # Table cell for derivative orders a pair cannot reach (k <= s).
 DASH = "–"
 
-# Largest `seq --upto` and `table --max-n`, about 2 s each on a 2-vCPU VM.  The
-# cost grows faster than linearly: seq to 20 000 takes 13 s, table to 500 6 s.
+# Largest `seq --upto`, `table --max-n` and `compose --length`, about 2 s each on
+# a 2-vCPU VM.  The first two grow faster than linearly: seq to 20 000 takes 13 s,
+# table to 500 6 s; compose is linear in its length.
 MAX_SEQ_UPTO = 10_000
 MAX_TABLE_N = 300
+MAX_COMPOSE_LENGTH = 10_000_000
 
 _SEQUENCES = {
     "motzkin": (0, sequences.motzkin_number),
@@ -162,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("compose", help="rebuild a word from pair positions")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_at_most(MAX_COMPOSE_LENGTH), required=True,
+                   help=f"word length (at most {MAX_COMPOSE_LENGTH})")
     p.add_argument("--pair", type=_parse_pair, action="append", default=[],
                    metavar="OPEN,CLOSE", help="may be repeated")
     p.set_defaults(func=_cmd_compose)

@@ -16,10 +16,11 @@ triangle rule applied term by term: C(r+1, h) - C(r, h) - C(r, h-1) =
 C(r, h+1) turns the right-hand side into C(n-1, s+1) + C(k-1, s+2) +
 C(k-1, s+3).  Induction on s from the two base depths proves the form.
 
-`pair_nest_weight` reads the table directly; `decompose` still calls it by
-its global name once per pair, so a tracer that rebinds the name sees every
-pair weight.  It weighs the pairs of `pair_triples` in opening order, which
-keeps table growth in that order (closing order made cold ranks slower).
+`pair_nest_weight` reads the table directly.  `rank` and `decompose` share
+one weighing pass that calls it by its global name once per pair, in the
+opening order of `pair_triples`, so a tracer that rebinds the name sees every
+weight; only `decompose` builds records.  Opening order keeps table growth in
+that order (closing order made cold ranks slower).
 """
 
 from __future__ import annotations
@@ -99,9 +100,18 @@ def range_extrema(n: int) -> RangeExtrema:
                         hi, sequences.motzkin_number(n) - 1)
 
 
+def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    """The weighing pass of `rank` and `decompose`: (len + 1, pair triples, weights)."""
+    if not is_umw(w):
+        raise NotCanonicalError(f"{w.text!r} is not canonical; strip leading zeros first")
+    end = len(w.text) + 1
+    triples = pair_triples(w)
+    return end, triples, [pair_nest_weight(end - a, end - b, depth) for a, b, depth in triples]
+
+
 def rank(w: Word) -> int:
     """Rank of a canonical word: the sum of its pairs' nest-weights."""
-    return decompose(w).total
+    return sum(_weigh(w)[2])
 
 
 def unrank(i: int) -> Word:
@@ -177,12 +187,10 @@ def decompose(w: Word) -> Decomposition:
     Entries follow the opening-bracket order; the word "0" decomposes into
     nothing with total 0.
     """
-    if not is_umw(w):
-        raise NotCanonicalError(f"{w.text!r} is not canonical; strip leading zeros first")
-    end = len(w.text) + 1
-    entries = tuple([_entry((n := end - a, k := end - b, depth, pair_nest_weight(n, k, depth)))
-                     for a, b, depth in pair_triples(w)])
-    return Decomposition(end - 1, entries, sum([e.contribution for e in entries]))
+    end, triples, contributions = _weigh(w)
+    entries = tuple([_entry((end - a, end - b, depth, weight))
+                     for (a, b, depth), weight in zip(triples, contributions)])
+    return Decomposition(end - 1, entries, sum(contributions))
 
 
 def compose(length: int, sites: Iterable[tuple[int, int]]) -> Word:

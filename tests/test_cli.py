@@ -149,6 +149,7 @@ def test_usage_errors_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv, dest, maximum", [
     (["seq", "motzkin", "--upto"], "upto", cli.MAX_SEQ_UPTO),
     (["table", "--max-n"], "max_n", cli.MAX_TABLE_N),
+    (["compose", "--pair", "1,2", "--length"], "length", cli.MAX_COMPOSE_LENGTH),
 ])
 def test_sizes_over_the_maximum_are_usage_errors_naming_it(capsys, argv, dest, maximum):
     assert getattr(cli.build_parser().parse_args(argv + [str(maximum)]), dest) == maximum

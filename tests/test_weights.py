@@ -213,10 +213,7 @@ def test_decompose_weighs_each_pair_once_in_opening_order(monkeypatch, words_thr
         return pair_nest_weight(n, k, s)
 
     monkeypatch.setattr(weights, "pair_nest_weight", recorded)
-    rng = random.Random(7)
-    texts = [w.text for w in words_through(9)]
-    texts += [_random_canonical_text(rng, n) for n in (300, 1000)]
-    for text in texts:
+    for text in _weighing_texts(words_through):
         w = parse(text)
         calls.clear()
         entries = decompose(w).entries
@@ -225,6 +222,28 @@ def test_decompose_weighs_each_pair_once_in_opening_order(monkeypatch, words_thr
         assert [type(e) for e in entries] == [DecompositionEntry] * len(calls)
         assert [(e.n, e.k, e.depth, e.contribution) for e in entries] == [
             (*c, pair_nest_weight(*c)) for c in calls]
+        # rank weighs the same pairs, with the same arguments, in the same order
+        decompose_calls = calls[:]
+        calls.clear()
+        rank(w)
+        assert calls == decompose_calls
+
+
+def test_rank_builds_no_decomposition_entry(monkeypatch, words_through):
+    def refuse(fields):
+        raise AssertionError(f"rank built a record {fields}")
+
+    monkeypatch.setattr(weights, "_entry", refuse)
+    for text in _weighing_texts(words_through):
+        w = parse(text)
+        assert rank(w) == oracle.rank_by_counting(w)
+
+
+def _weighing_texts(words_through):
+    """Every canonical word of length <= 9, then two seeded random long ones."""
+    rng = random.Random(7)
+    texts = [w.text for w in words_through(9)]
+    return texts + [_random_canonical_text(rng, n) for n in (300, 1000)]
 
 
 def test_decompose_rejects_leading_zeros():
@@ -304,8 +323,15 @@ def test_compose_and_decompose_are_mutually_inverse(words_through):
 
 
 def test_rank_equals_decomposition_total(words_through):
-    for w in words_through(9):
+    for w in words_through(12):
         assert decompose(w).total == rank(w)
+
+
+@settings(deadline=None, max_examples=25)
+@given(canonical_texts())
+def test_rank_of_long_words_is_the_decomposition_total_and_the_counted_rank(text):
+    w = Word(text)
+    assert rank(w) == decompose(w).total == oracle.rank_by_counting(w)
 
 
 def test_first_column_weights_and_first_derivatives():
@@ -409,8 +435,9 @@ def test_direct_reads_from_an_empty_table_agree_across_threads(monkeypatch):
     def work(job):
         try:
             for w, _ in job:
+                ranked = rank(w)
                 total = decompose(w).total
-                results.append((w, total, unrank(total)))
+                results.append((w, total, ranked, unrank(total)))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -428,6 +455,6 @@ def test_direct_reads_from_an_empty_table_agree_across_threads(monkeypatch):
     assert errors == []
     expected = {w: r for job in jobs for w, r in job}
     assert len(results) == len(expected) == 24
-    for w, total, back in results:
-        assert total == expected[w]
+    for w, total, ranked, back in results:
+        assert total == ranked == expected[w]
         assert back == w
