@@ -27,7 +27,8 @@ def _result(name: str, failures: list[str], detail: str) -> CheckResult:
 
 def run_checks(max_len: int) -> list[CheckResult]:
     """Cross-validate formulas against brute force up to the given length."""
-    ranges = [oracle.enumerate_range(n) for n in range(1, max_len + 1)]
+    last = oracle.enumerate_range(max_len)  # refuses a bad length before any work
+    ranges = [oracle.enumerate_range(n) for n in range(1, max_len)] + [last]
     ordered = [w for words in ranges for w in words]
     results = []
 

@@ -10,16 +10,15 @@ import sys
 
 from . import checks, oracle, pair_arith, sequences, weights, word_model
 from .errors import MotzkinError
+from .weights import MAX_COMPOSE_LENGTH
 
 # Table cell for derivative orders a pair cannot reach (k <= s).
 DASH = "–"
 
-# Largest `seq --upto`, `table --max-n` and `compose --length`, about 2 s each on
-# a 2-vCPU VM.  The first two grow faster than linearly: seq to 20 000 takes 13 s,
-# table to 500 6 s; compose is linear in its length.
+# Largest `seq --upto` and `table --max-n`, about 2 s each on a 2-vCPU VM; both
+# grow faster than linearly: seq to 20 000 takes 13 s, table to 500 6 s.
 MAX_SEQ_UPTO = 10_000
 MAX_TABLE_N = 300
-MAX_COMPOSE_LENGTH = 10_000_000
 
 _SEQUENCES = {
     "motzkin": (0, sequences.motzkin_number),
@@ -29,37 +28,30 @@ _SEQUENCES = {
 }
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.split(",")
-        return int(a), int(b)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected open,close positions like 3,7 (got {text!r})")
-
-
-def _index(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if 0 < limit < len(text):
-            raise argparse.ArgumentTypeError(f"an index of {len(text)} characters is over "
-                                             f"Python's {limit}-digit limit for reading ints")
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-
-
-def _at_most(limit: int):
-    """An int argument type that refuses values over `limit` as a usage error."""
+def _integer(maximum: int | None = None):
+    """The argument type of every integer argument.  A value past Python's
+    digit limit for reading ints, or over `maximum`, is a usage error."""
     def read(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < len(text):
+                raise argparse.ArgumentTypeError(f"a value of {len(text)} characters is over "
+                                                 f"Python's {limit}-digit limit for reading ints")
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"{value} is over the maximum of {limit}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"{value} is over the maximum of {maximum}")
         return value
     return read
+
+
+def _parse_pair(text: str) -> tuple[int, int]:
+    halves = text.split(",")
+    if len(halves) != 2:
+        raise argparse.ArgumentTypeError(
+            f"expected open,close positions like 3,7 (got {text!r})")
+    return tuple(map(_integer(), halves))
 
 
 def _cmd_rank(args) -> int:
@@ -75,13 +67,8 @@ def _cmd_unrank(args) -> int:
 def _cmd_decompose(args) -> int:
     d = weights.decompose(word_model.parse(args.word))
     if args.json:
-        doc = {
-            "length": d.word_length,
-            "pairs": [{"n": e.n, "k": e.k, "depth": e.depth,
-                       "contribution": e.contribution} for e in d.entries],
-            "total": d.total,
-        }
-        print(json.dumps(doc))
+        print(json.dumps({"length": d.word_length,
+                          "pairs": [e._asdict() for e in d.entries], "total": d.total}))
     else:
         for e in d.entries:
             print(f"{e.n} {e.k} {e.depth} {e.contribution}")
@@ -155,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("unrank", help="print the word with the given rank")
-    p.add_argument("index", type=_index)
+    p.add_argument("index", type=_integer())
     p.set_defaults(func=_cmd_unrank)
 
     p = sub.add_parser("decompose", help="list the prime pairs of a word")
@@ -164,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("compose", help="rebuild a word from pair positions")
-    p.add_argument("--length", type=_at_most(MAX_COMPOSE_LENGTH), required=True,
+    p.add_argument("--length", type=_integer(MAX_COMPOSE_LENGTH), required=True,
                    help=f"word length (at most {MAX_COMPOSE_LENGTH})")
     p.add_argument("--pair", type=_parse_pair, action="append", default=[],
                    metavar="OPEN,CLOSE", help="may be repeated")
@@ -182,21 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", help="print an integer sequence, one value per line")
     p.add_argument("name", choices=sorted(_SEQUENCES))
-    p.add_argument("--upto", type=_at_most(MAX_SEQ_UPTO), required=True,
+    p.add_argument("--upto", type=_integer(MAX_SEQ_UPTO), required=True,
                    help=f"last index to print (inclusive, at most {MAX_SEQ_UPTO})")
     p.set_defaults(func=_cmd_seq)
 
     p = sub.add_parser("enumerate", help="all canonical words of one length, in order")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_integer(), required=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("table", help="nest-weight table of all prime pairs up to a size")
-    p.add_argument("--max-n", type=_at_most(MAX_TABLE_N), required=True, dest="max_n",
+    p.add_argument("--max-n", type=_integer(MAX_TABLE_N), required=True, dest="max_n",
                    help=f"largest pair size (at most {MAX_TABLE_N})")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="cross-check the formulas against brute force")
-    p.add_argument("--max-len", type=int, required=True, dest="max_len")
+    p.add_argument("--max-len", type=_integer(), required=True, dest="max_len")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -40,7 +40,7 @@ class DomainViolationError(MotzkinError):
 
 
 class RangeTooLargeError(MotzkinError):
-    """Exhaustive enumeration requested beyond the safety guard."""
+    """A request over a size guard: exhaustive enumeration or composition."""
 
 
 class IntersectsError(MotzkinError):

@@ -35,8 +35,12 @@ from .errors import (
     NotCanonicalError,
     OverlapError,
     PositionConflictError,
+    RangeTooLargeError,
 )
 from .word_model import CLOSE, OPEN, ZERO, Word, is_umw, matched_pairs, pair_triples
+
+# Longest word `compose` builds: about 2 s and linear in the length on a 2-vCPU VM.
+MAX_COMPOSE_LENGTH = 10_000_000
 
 
 def pair_weight(n: int, k: int) -> int:
@@ -198,10 +202,14 @@ def compose(length: int, sites: Iterable[tuple[int, int]]) -> Word:
 
     Writes '(' and ')' at the given 1-based positions and zeros everywhere
     else.  Spans must be pairwise disjoint or nested, positions distinct,
-    and the result must be canonical.
+    and the result must be canonical.  Lengths over MAX_COMPOSE_LENGTH are
+    refused before anything is built.
     """
     if length < 1:
         raise DomainViolationError(f"compose requires length >= 1, got {length}")
+    if length > MAX_COMPOSE_LENGTH:
+        raise RangeTooLargeError(
+            f"compose length {length} is over the maximum of {MAX_COMPOSE_LENGTH}")
     spans = [(a, b) for a, b in sites]
     chars = [ZERO] * length
     for a, b in spans:

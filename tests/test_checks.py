@@ -1,6 +1,7 @@
 import pytest
 
-from motzkin import checks, weights, word_model
+from motzkin import checks, oracle, weights, word_model
+from motzkin.errors import DomainViolationError, RangeTooLargeError
 
 
 def test_all_checks_pass_at_small_lengths():
@@ -35,6 +36,37 @@ def test_a_wrong_unrank_is_caught(monkeypatch):
     monkeypatch.setattr(weights, "unrank", skewed)
     results = {r.name: r for r in checks.run_checks(6)}
     assert not results["unrank-bijection"].passed
+
+
+@pytest.mark.parametrize("skew, detail", [
+    (lambda e: e._replace(max_word=e.min_word),
+     "length 5: enumeration endpoints do not match extrema"),
+    (lambda e: e._replace(min_weight=e.min_weight + 1),
+     "length 5: extrema weights disagree with rank"),
+])
+def test_wrong_range_extrema_are_caught(monkeypatch, skew, detail):
+    true_extrema = weights.range_extrema
+    monkeypatch.setattr(weights, "range_extrema",
+                        lambda n: skew(true_extrema(n)) if n == 5 else true_extrema(n))
+    results = checks.run_checks(6)
+    assert [r.name for r in results if not r.passed] == ["range-extrema"]
+    assert results[-1].detail == detail
+
+
+@pytest.mark.parametrize("max_len, error", [(17, RangeTooLargeError),
+                                            (0, DomainViolationError)])
+def test_bad_lengths_are_refused_before_any_enumeration(monkeypatch, max_len, error):
+    lengths = []
+    true_enumerate = oracle.enumerate_range
+
+    def recorder(n):
+        lengths.append(n)
+        return true_enumerate(n)
+
+    monkeypatch.setattr(oracle, "enumerate_range", recorder)
+    with pytest.raises(error):
+        checks.run_checks(max_len)
+    assert lengths == [max_len]
 
 
 def test_result_records_keep_their_field_names():

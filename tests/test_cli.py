@@ -124,6 +124,7 @@ def test_verify(capsys):
     (["unrank", "-3"], "nonnegative"),
     (["compose", "--length", "6", "--pair", "2,3"], "position 1"),
     (["enumerate", "--length", "40"], "guard"),
+    (["verify", "--max-len", "0"], "n >= 1"),
 ])
 def test_domain_errors_exit_1(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
@@ -193,6 +194,40 @@ def test_unrank_index_past_the_int_str_limit_names_the_limit(capsys):
     assert f"{limit}-digit" in err.splitlines()[-1]
     assert "invalid int value" not in err
     assert "7" * 50 not in err
+
+
+_LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["unrank", _LONG],
+    ["compose", "--pair", "1,2", "--length", _LONG],
+    ["compose", "--length", "6", "--pair", "1," + _LONG],
+    ["compose", "--length", "6", "--pair", _LONG + ",2"],
+    ["seq", "motzkin", "--upto", _LONG],
+    ["enumerate", "--length", _LONG],
+    ["table", "--max-n", _LONG],
+    ["verify", "--max-len", _LONG],
+])
+def test_every_integer_argument_past_the_int_str_limit_is_a_short_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.encode()) < 400
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
+    assert "invalid int value" not in err
+
+
+def test_no_argument_is_read_by_bare_int():
+    readers = {(name, action.dest): action.type
+               for top in cli.build_parser()._actions if isinstance(top.choices, dict)
+               for name, sub in top.choices.items() for action in sub._actions}
+    assert {name for name, _ in readers} == {
+        "rank", "unrank", "decompose", "compose", "add", "sub", "seq", "enumerate",
+        "table", "verify"}
+    assert [key for key, reader in readers.items() if reader is int] == []
 
 
 def test_the_digit_limit_is_restored_after_a_failed_request(capsys):

@@ -13,8 +13,10 @@ from motzkin.errors import (
     NotCanonicalError,
     OverlapError,
     PositionConflictError,
+    RangeTooLargeError,
 )
 from motzkin.weights import (
+    MAX_COMPOSE_LENGTH,
     Decomposition,
     DecompositionEntry,
     compose,
@@ -87,6 +89,14 @@ def test_prime_pair_words_are_single_pair_words():
             sites = matched_pairs(w)
             assert len(sites) == 1
             assert len(w) - sites[0].close_pos + 1 == k
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (4, 0), (2, -1), (1, 0), (2, 5)])
+def test_pair_catalog_index_and_prime_pair_word_domain_errors(n, k):
+    with pytest.raises(DomainViolationError):
+        pair_catalog_index(n, k)
+    with pytest.raises(DomainViolationError):
+        prime_pair_word(n, k)
 
 
 def test_unrank_finds_the_first_and_last_index_of_every_length():
@@ -270,6 +280,9 @@ def test_compose_error_cases():
         compose(4, [(3, 2)])
     with pytest.raises(DomainViolationError):
         compose(0, [])
+    for length in (MAX_COMPOSE_LENGTH + 1, 10**11):  # refused before the word is allocated
+        with pytest.raises(RangeTooLargeError, match=f"maximum of {MAX_COMPOSE_LENGTH}"):
+            compose(length, [(1, 2)])
 
 
 def _reference_compose_error(length, spans):
