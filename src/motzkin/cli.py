@@ -28,6 +28,10 @@ _SEQUENCES = {
 }
 
 
+def _echo(text: str, shown: str) -> str:  # text over 80 characters is named by its length
+    return shown if len(text) <= 80 else f"a value of {len(text)} characters"
+
+
 def _integer(maximum: int | None = None):
     """The argument type of every integer argument.  A value past Python's
     digit limit for reading ints, or over `maximum`, is a usage error."""
@@ -39,9 +43,10 @@ def _integer(maximum: int | None = None):
             if 0 < limit < len(text):
                 raise argparse.ArgumentTypeError(f"a value of {len(text)} characters is over "
                                                  f"Python's {limit}-digit limit for reading ints")
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+            raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text, repr(text))}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"{value} is over the maximum of {maximum}")
+            raise argparse.ArgumentTypeError(
+                f"{_echo(text, str(value))} is over the maximum of {maximum}")
         return value
     return read
 
@@ -50,7 +55,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
     halves = text.split(",")
     if len(halves) != 2:
         raise argparse.ArgumentTypeError(
-            f"expected open,close positions like 3,7 (got {text!r})")
+            f"expected open,close positions like 3,7 (got {_echo(text, repr(text))})")
     return tuple(map(_integer(), halves))
 
 

@@ -11,7 +11,13 @@ Nesting is a different operation and goes through the weight machinery.
 
 Both work on bit masks of the '(' and ')' positions, the last symbol at
 bit 0, so right-aligned operands line up unpadded; the leftmost clash is the
-highest set bit, and the result is rebuilt from its masks.
+highest set bit, and the result is rebuilt from its masks.  One rule then
+decides the rest: each top-level block of y must be a top-level block, with
+the same symbols, of the sum (`padd`) or of x (`psub`, where that is the
+definition).  In the sum, y's block is unchanged only where x has zeros, and
+is top-level only where x is at height 0, outside every pair span of x; so
+it holds exactly when no block of x meets a block of y.  The height before a
+block is 0 when the stretch since the previous block has as many '(' as ')'.
 """
 
 from .errors import (
@@ -20,7 +26,7 @@ from .errors import (
     NotSubwordError,
     NotTopLevelError,
 )
-from .word_model import ZERO, Word, pair_triples
+from .word_model import Word, pair_triples
 from .word_model import matched_pairs  # noqa: F401  bench/selftest.py pins the tracer here
 
 _OPENS = str.maketrans("0()", "010")
@@ -33,17 +39,26 @@ def _masks(w: Word) -> tuple[int, int]:
     return int(text.translate(_OPENS), 2), int(text.translate(_CLOSES), 2)
 
 
-def _top_spans(w: Word, width: int) -> list[tuple[int, int]]:
-    """w's top-level pair spans, as if w were padded to `width` symbols."""
-    shift = width - len(w.text)
-    return [(a + shift, b + shift) for a, b, depth in pair_triples(w) if not depth]
-
-
 def _word(opens: int, closes: int) -> Word:
     """'(' at the set bits of opens, ')' at those of closes, no leading zeros."""
     # int(..., 16) of a binary numeral gives each bit a hex digit of its own
     digits = int(format(opens, "b"), 16) + (int(format(closes, "b"), 16) << 1)
     return Word._balanced(format(digits, "x").translate(_FROM_HEX))
+
+
+def _same_blocks(y: Word, text: str, width: int, error: type, fault: str) -> None:
+    """Raise `error` at the first top-level block of y, right-aligned, that is
+    not a top-level block of `text` with the same symbols."""
+    ytext = y.text
+    shift, end = len(text) - len(ytext), 0
+    for lo, hi, depth in pair_triples(y):
+        if not depth:
+            start = lo - 1 + shift
+            if (text.count("(", end, start) != text.count(")", end, start)
+                    or not text.startswith(ytext[lo - 1:hi], start)):
+                pad = width - len(ytext)
+                raise error(f"the right operand's block at ({lo + pad}, {hi + pad}) {fault}")
+            end = hi + shift
 
 
 def padd(x: Word, y: Word) -> Word:
@@ -53,16 +68,9 @@ def padd(x: Word, y: Word) -> Word:
     clash = (ox | cx) & (oy | cy)
     if clash:
         raise IntersectsError(width - clash.bit_length() + 1)
-    # Each operand's blocks are disjoint, so after one sort by opening
-    # position any overlap shows up between neighbours.
-    spans = sorted(_top_spans(x, width) + _top_spans(y, width))
-    for outer, inner in zip(spans, spans[1:]):
-        if inner[0] < outer[1]:
-            if inner[1] < outer[1]:
-                raise NestedOperandsError(
-                    f"block at {inner} lies inside the pair span {outer}")
-            raise NestedOperandsError(f"block spans {outer} and {inner} cross")
-    return _word(ox | oy, cx | cy)
+    z = _word(ox | oy, cx | cy)
+    _same_blocks(y, z.text, width, NestedOperandsError, "overlaps a block of the left operand")
+    return z
 
 
 def psub(x: Word, y: Word) -> Word:
@@ -77,13 +85,5 @@ def psub(x: Word, y: Word) -> Word:
     stray = (oy & ~ox) | (cy & ~cx)
     if stray:
         raise NotSubwordError(width - stray.bit_length() + 1)
-    a, b = x.text.rjust(width, ZERO), y.text.rjust(width, ZERO)
-    spans_a = set(_top_spans(x, width))
-    for lo, hi in _top_spans(y, width):
-        if (lo, hi) not in spans_a:
-            raise NotTopLevelError(
-                f"pair span ({lo}, {hi}) is not a top-level block of the left operand")
-        if a[lo - 1:hi] != b[lo - 1:hi]:
-            raise NotTopLevelError(
-                f"block at ({lo}, {hi}) differs from the left operand's block there")
+    _same_blocks(y, x.text, width, NotTopLevelError, "is not a top-level block of the left operand")
     return _word(ox ^ oy, cx ^ cy)

@@ -220,6 +220,23 @@ def test_every_integer_argument_past_the_int_str_limit_is_a_short_usage_error(ca
     assert "invalid int value" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "motzkin", "--upto", "7" * 4300],
+     "a value of 4300 characters is over the maximum of 10000"),
+    (["unrank", "x" * 4000], "invalid int value: a value of 4000 characters"),
+    (["compose", "--length", "6", "--pair", "7" * 5000],
+     "expected open,close positions like 3,7 (got a value of 5000 characters)"),
+])
+def test_long_values_under_the_int_str_limit_are_named_by_their_length(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.encode()) < 400
+    assert err.splitlines()[-1].endswith(message)
+
+
 def test_no_argument_is_read_by_bare_int():
     readers = {(name, action.dest): action.type
                for top in cli.build_parser()._actions if isinstance(top.choices, dict)

@@ -1,6 +1,9 @@
+from types import FunctionType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motzkin import pair_arith, word_model
 from motzkin.errors import (
     IntersectsError,
     MotzkinError,
@@ -10,7 +13,7 @@ from motzkin.errors import (
 )
 from motzkin.pair_arith import padd, psub
 from motzkin.weights import rank
-from motzkin.word_model import Word, parse
+from motzkin.word_model import Word, pair_triples, parse
 
 from arith_enumeration import defined_applications
 from long_words import canonical_text, canonical_texts
@@ -192,6 +195,54 @@ def test_clash_positions_match_a_per_position_scan(words_through):
                 assert _raised_position(op, x, y) == first, (op.__name__, x, y)
 
 
+def test_psub_outcomes_match_a_per_position_scan_and_brute_force_spans(words_through):
+    words = words_through(8)
+    seen = set()
+    for x in words:
+        for y in words:
+            n = max(len(x), len(y))
+            a, b = x.text.rjust(n, "0"), y.text.rjust(n, "0")
+            x_spans = _top_spans_by_brute_force(a)
+            if _bad_positions(x, y, _stray):
+                expected = NotSubwordError
+            elif any((lo, hi) not in x_spans or a[lo - 1:hi] != b[lo - 1:hi]
+                     for lo, hi in _top_spans_by_brute_force(b)):
+                expected = NotTopLevelError
+            else:
+                kept = "".join(ca if cb == "0" else "0" for ca, cb in zip(a, b))
+                expected = Word(kept.lstrip("0") or "0")
+            try:
+                outcome = psub(x, y)
+            except MotzkinError as exc:
+                outcome = type(exc)
+            assert outcome == expected, (x, y)
+            seen.add(expected if isinstance(expected, type) else Word)
+    assert seen == {NotSubwordError, NotTopLevelError, Word}
+
+
+def test_each_operation_matches_the_pairs_of_the_right_operand_alone(monkeypatch):
+    calls = []
+    real = pair_arith.pair_triples
+    monkeypatch.setattr(pair_arith, "pair_triples", lambda w: calls.append(w) or real(w))
+    x, y, z = parse("()0000000"), parse("(0())0"), parse("()0(0())0")
+    for op, left, right in ((padd, x, y), (psub, z, y), (padd, parse("(000000)"), parse("()00000")),
+                            (psub, parse("(()())"), parse("()0"))):
+        calls.clear()
+        try:
+            op(left, right)
+        except MotzkinError:
+            pass
+        assert len(calls) == 1 and calls[0] is right, (op.__name__, left, right)
+
+
+def test_pair_arith_keeps_two_public_functions_and_the_pinned_import():
+    public = sorted(name for name, value in vars(pair_arith).items()
+                    if not name.startswith("_") and isinstance(value, FunctionType)
+                    and value.__module__ == pair_arith.__name__)
+    assert public == ["padd", "psub"]
+    assert pair_arith.matched_pairs is word_model.matched_pairs
+
+
 _W = 2000
 
 
@@ -253,3 +304,21 @@ def test_a_block_inside_a_long_pair_span_is_refused(text, data):
                 padd(x, y)
         else:
             assert rank(padd(x, y)) == rank(x) + rank(y)
+
+
+@settings(deadline=None, max_examples=25)
+@given(canonical_texts(), st.data())
+def test_psub_refuses_a_nested_or_altered_block_of_a_long_word(text, data):
+    # one more pair around text nests every pair of text inside the host
+    host = Word("(" + text + ")")
+    triples = pair_triples(Word(text))
+    a, b, _ = triples[data.draw(st.integers(min_value=0, max_value=len(triples) - 1))]
+    nested = Word(text[a - 1:b] + "0" * (len(text) - b + 1))
+    with pytest.raises(NotTopLevelError, match=rf"block at \({a + 1}, {b + 1}\) "):
+        psub(host, nested)
+    # the host's one block with that pair blanked: the same span, fewer symbols
+    # (a single changed symbol would unbalance the word)
+    altered = Word("(" + text[:a - 1] + "0" + text[a:b - 1] + "0" + text[b:] + ")")
+    with pytest.raises(NotTopLevelError, match=rf"block at \(1, {len(text) + 2}\) "):
+        psub(host, altered)
+    assert psub(host, host) == ZERO_WORD
