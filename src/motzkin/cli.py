@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except MotzkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # the table of a very deep word or a huge index outgrew memory
+        print("error: out of memory", file=sys.stderr)
+        return 1
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -14,8 +14,10 @@ h only through row r + H - h.  A growth call slices only the new rows out
 of the columns below, so its cost is proportional to the rows it adds.
 Columns only grow, by slice stores at their own rows, so threads growing
 the table at once never shift or duplicate an entry.  A stored entry is
-final: `weights` reads `_columns` directly on its hot paths and calls
-`completions`, which grows the table, only on a miss.
+final, so `weights` reads `_columns` directly on its hot paths.  Two callers
+grow the table: `completions` on a miss (for `motzkin_number` and for
+`weights.pair_nest_weight`), and `weights.unrank` through `_grow`, once at
+each new height of its walk.
 """
 
 from itertools import repeat

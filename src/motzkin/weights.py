@@ -6,8 +6,15 @@ has the shape (0^{n-k-1})0^{k-1}.  Nested s levels deep it contributes
     wt^(s)(n, k) = C(n-1, s) + C(k-1, s+1) + C(k-1, s+2),
 
 one closed form for every depth over the completion table C of `sequences`.
-A word's rank is the sum of its pairs' nest-weights at their own depths;
-`unrank` walks the same table.
+A word's rank is the sum of its pairs' nest-weights at their own depths.
+
+The lexicographic count is the same sum, regrouped.  Reading a word left to
+right, at a symbol with `left` symbols after it and height h before it, the
+count skips C(left, h) at each '(' and C(left, h) + C(left, h+1) at each
+')'.  For a pair (n, k) at depth s these are C(n-1, s) at its '(' and
+C(k-1, s+1) + C(k-1, s+2) at its ')', the three terms of its nest-weight.
+So `unrank`, which walks the table one symbol at a time, undoes the
+prime-pair sum term by term.
 
 The paper's forms are identities of this one: depth 0 is M_{n-1} + delta(k)
 and depth 1 is U_n + delta_prime(k).  The paper's three-in-one recurrence
@@ -121,37 +128,41 @@ def rank(w: Word) -> int:
 def unrank(i: int) -> Word:
     """The canonical word of rank i (inverse of `rank`).
 
-    Picks the length n with M_{n-1} <= i < M_n, then chooses one symbol at
-    a time in alphabet order, skipping over completion counts until the
-    remaining offset is exhausted (the '(' count is read only at brackets, and
-    ')' comes last and needs no count).  A walk that does not end at offset 0
+    Leading zeros act as in numerals: padding every canonical word of
+    length <= n with zeros to length n lists the M_n Motzkin words of length
+    n in the same order.  So the walk takes the least n with i < M_n and
+    chooses the symbols of the padded word of rank i from offset i at height
+    0, one at a time in alphabet order, skipping over completion counts.  As
+    n is least, the first symbol skips the M_{n-1} shorter words and is '('
+    (or i = 0 gives the word "0"): the walk writes no leading zero.  The '('
+    count is read only at brackets, and ')' comes last and needs no count.
+
+    The walk grows the table at one point.  Column 0 holds row n from the
+    length search, and column h+1 is first read at the first bracket at
+    height h, at row `left`; there the walk grows it if it is short.  Later
+    reads of a column come at lower rows and columns only grow, so every
+    other read finds its entry stored.  A walk that does not end at offset 0
     and height 0 means an inconsistent table.
     """
     if i < 0:
         raise DomainViolationError(f"unrank requires a nonnegative index, got {i}")
-    if i == 0:
-        return Word(ZERO)
     # M_n < 3^n, so the answer exceeds log_3 i >= floor(log2 i) / 1.59
     n = max(1, (i.bit_length() - 1) * 100 // 159)
     while sequences.motzkin_number(n) <= i:
         n += 1
-    offset = i - sequences.motzkin_number(n - 1)
-    symbols = [OPEN]
-    height = 1
-    columns, c = sequences._columns, sequences.completions
-    for left in range(n - 2, -1, -1):
-        try:
-            zeros = columns[height][left]
-        except IndexError:  # not stored yet: completions grows the table
-            zeros = c(left, height)
+    columns, symbols = sequences._columns, []
+    offset, height, top = i, 0, 0  # top: the highest column read so far
+    for left in range(n - 1, -1, -1):
+        zeros = columns[height][left]
         if offset < zeros:
             symbols.append(ZERO)
             continue
         offset -= zeros
-        try:
-            opens = columns[height + 1][left]
-        except IndexError:
-            opens = c(left, height + 1)
+        if height == top:  # the first read of column top + 1, at row left
+            top += 1
+            if len(columns) <= top or len(columns[top]) <= left:
+                sequences._grow(left + top, top)
+        opens = columns[height + 1][left]
         if offset < opens:
             symbols.append(OPEN)
             height += 1

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from motzkin import sequences
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +33,20 @@ def test_rank_of_a_10000_symbol_word_prints_in_a_bounded_process():
         assert int(answer) == sequences.motzkin_number(10000) - 1
     finally:
         sys.set_int_max_str_digits(sys_limit)
+
+
+@pytest.mark.parametrize("argv, extra_env", [
+    (["rank", "(" * 2000 + ")" * 2000], {}),  # its completion table outgrows the limit
+    (["unrank", "7" * 9543], {"PYTHONINTMAXSTRDIGITS": "0"}),  # past the default digit limit
+])
+def test_running_out_of_memory_is_a_one_line_error(argv, extra_env):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **extra_env}
+    proc = subprocess.run([sys.executable, "-m", "motzkin", *argv],
+                          env=env, cwd=ROOT, capture_output=True, text=True,
+                          timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -184,6 +184,42 @@ def test_unrank_of_long_words_is_a_valid_word(text):
     assert type(out) is Word and out.text == text and Word(out.text) == out
 
 
+def test_unrank_calls_completions_only_from_its_length_search(monkeypatch):
+    # the walk grows the table through `_grow` at its one growth point and reads
+    # `_columns` directly; only `motzkin_number`, at height 0, goes through `completions`
+    heights = []
+    true_completions = sequences.completions
+
+    def recorded(remaining, height):
+        heights.append(height)
+        return true_completions(remaining, height)
+
+    monkeypatch.setattr(sequences, "completions", recorded)
+    rng = random.Random(13)
+    texts = ["0", "()", "(" * 300 + ")" * 300, "()" * 300,
+             *(_random_canonical_text(rng, n) for n in (50, 400, 900))]
+    for text in texts:
+        monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+        assert unrank(oracle.rank_by_counting(Word(text))).text == text
+    assert heights and set(heights) == {0}
+
+
+def test_unrank_from_an_empty_table_inverts_the_counted_rank(monkeypatch, words_through):
+    for w in words_through(12):
+        monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+        assert unrank(oracle.rank_by_counting(w)) == w
+
+
+@settings(deadline=None, max_examples=25)
+@given(canonical_texts())
+def test_unrank_of_long_words_from_an_empty_table_stores_only_true_counts(text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "_columns", [[1, 1]])
+        assert unrank(oracle.rank_by_counting(Word(text))).text == text
+        for h, column in enumerate(sequences._columns):
+            assert column == [oracle.completions(r, h) for r in range(len(column))]
+
+
 def test_rank_is_strictly_monotone(words_through):
     ranks = [rank(w) for w in words_through(10)]
     assert ranks == sorted(ranks)
