@@ -1,11 +1,19 @@
 """Command-line surface.  Thin adapters only: parse arguments, call the
 library, print.  Words go on the command line as plain arguments; quote
-them, since shells treat parentheses specially."""
+them, since shells treat parentheses specially.
+
+A handler only prints and returns nothing; `main` owns every exit.  It
+returns 0 once the handler is done and stdout is flushed.  Every other end
+is an exception: argparse exits 2 on a usage error, a `MotzkinError` (a
+failed `verify` among them) or a `MemoryError` becomes one `error:` line on
+stderr and exit 1, a closed stdout pipe exits 1 silently, and Ctrl-C prints
+`error: interrupted` and exits 130."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks, oracle, pair_arith, sequences, weights, word_model
@@ -59,17 +67,15 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return tuple(map(_integer(), halves))
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> None:
     print(weights.rank(word_model.parse(args.word)))
-    return 0
 
 
-def _cmd_unrank(args) -> int:
+def _cmd_unrank(args) -> None:
     print(weights.unrank(args.index))
-    return 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> None:
     d = weights.decompose(word_model.parse(args.word))
     if args.json:
         print(json.dumps({"length": d.word_length,
@@ -78,38 +84,28 @@ def _cmd_decompose(args) -> int:
         for e in d.entries:
             print(f"{e.n} {e.k} {e.depth} {e.contribution}")
         print(f"total {d.total}")
-    return 0
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> None:
     print(weights.compose(args.length, args.pair))
-    return 0
 
 
-def _cmd_add(args) -> int:
-    print(pair_arith.padd(word_model.parse(args.x), word_model.parse(args.y)))
-    return 0
+def _cmd_arith(args) -> None:  # `add` and `sub`: `op` is `padd` or `psub`
+    print(args.op(word_model.parse(args.x), word_model.parse(args.y)))
 
 
-def _cmd_sub(args) -> int:
-    print(pair_arith.psub(word_model.parse(args.x), word_model.parse(args.y)))
-    return 0
-
-
-def _cmd_seq(args) -> int:
+def _cmd_seq(args) -> None:
     first, fn = _SEQUENCES[args.name]
     for i in range(first, args.upto + 1):
         print(fn(i))
-    return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> None:
     for w in oracle.enumerate_range(args.length):
         print(w)
-    return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     print("\t".join(["no", "n/k", "word", "M_k", "wt", "wt'", "wt''",
                      "wt'''", "wt^iv", "wt^v"]))
     for n in range(2, args.max_n + 1):
@@ -123,16 +119,15 @@ def _cmd_table(args) -> int:
             cells += [str(weights.pair_nest_weight(n, k, s)) if s < k else DASH
                       for s in range(6)]
             print("\t".join(cells))
-    return 0
 
 
-def _cmd_verify(args) -> int:
-    all_passed = True
-    for result in checks.run_checks(args.max_len):
-        status = "PASS" if result.passed else "FAIL"
-        all_passed = all_passed and result.passed
-        print(f"{status} {result.name} ({result.detail})")
-    return 0 if all_passed else 1
+def _cmd_verify(args) -> None:
+    results = checks.run_checks(args.max_len)
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail})")
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        raise MotzkinError(f"{len(failed)} of {len(results)} checks failed: {', '.join(failed)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,15 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="OPEN,CLOSE", help="may be repeated")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("add", help="partial addition of two words")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=_cmd_add)
-
-    p = sub.add_parser("sub", help="partial subtraction of two words")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=_cmd_sub)
+    for name, op, text in (("add", pair_arith.padd, "partial addition of two words"),
+                           ("sub", pair_arith.psub, "partial subtraction of two words")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("x")
+        p.add_argument("y")
+        p.set_defaults(func=_cmd_arith, op=op)
 
     p = sub.add_parser("seq", help="print an integer sequence, one value per line")
     p.add_argument("name", choices=sorted(_SEQUENCES))
@@ -199,7 +191,16 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # values of any size are printed exactly
     try:
-        return args.func(args)
+        try:
+            args.func(args)
+        finally:
+            sys.stdout.flush()  # a pipe that closes before this flush is caught below too
+    except BrokenPipeError:  # the reader left: print nothing, and keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except MotzkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -208,6 +209,7 @@ def main(argv=None) -> int:
         return 1
     finally:
         sys.set_int_max_str_digits(limit)
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from motzkin import cli, sequences
+from motzkin import cli, sequences, weights
 
 from reference_table import ROWS
 
@@ -114,6 +114,33 @@ def test_verify(capsys):
     lines = out.splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_a_failed_verify_prints_every_line_then_one_error_naming_the_failed_checks(
+        capsys, monkeypatch):
+    true_rank = weights.rank
+
+    def skewed(w):
+        value = true_rank(w)
+        return value + 1 if value == 40 else value
+
+    monkeypatch.setattr(weights, "rank", skewed)
+    code, out, err = run(capsys, "verify", "--max-len", "6")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert [line.split()[1] for line in lines if line.startswith("FAIL ")] == ["rank-agreement"]
+    assert err == "error: 1 of 6 checks failed: rank-agreement\n"
+
+
+def test_help_lists_add_and_sub(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    listed = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+              if line.split()[:1] in (["add"], ["sub"])]
+    assert listed == [["add", "partial addition of two words"],
+                      ["sub", "partial subtraction of two words"]]
 
 
 @pytest.mark.parametrize("argv, fragment", [

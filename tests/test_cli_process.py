@@ -1,5 +1,6 @@
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,31 @@ def test_running_out_of_memory_is_a_one_line_error(argv, extra_env):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
+
+
+def test_a_closed_stdout_pipe_ends_silently_with_exit_1():
+    # About 1 MB of output: the child is still writing when the reader leaves.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "motzkin", "enumerate", "--length", "14"],
+                            env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"(000000000000)\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
+def test_ctrl_c_is_a_one_line_error_with_exit_130():
+    # The pipe is not drained, so the unbuffered child blocks in a write
+    # until the signal comes.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "motzkin", "table", "--max-n", "300"],
+                            env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"no\t")
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert err == b"error: interrupted\n"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
