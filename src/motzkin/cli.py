@@ -7,7 +7,9 @@ returns 0 once the handler is done and stdout is flushed.  Every other end
 is an exception: argparse exits 2 on a usage error, a `MotzkinError` (a
 failed `verify` among them) or a `MemoryError` becomes one `error:` line on
 stderr and exit 1, a closed stdout pipe exits 1 silently, and Ctrl-C prints
-`error: interrupted` and exits 130."""
+`error: interrupted` and exits 130.  That holds from the import of this
+module by `python -m motzkin` on, argument parsing included; a Ctrl-C
+during interpreter start-up or the package's own import is Python's."""
 
 from __future__ import annotations
 
@@ -187,10 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)  # arguments are read under the current digit limit
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # values of any size are printed exactly
     try:
+        args = build_parser().parse_args(argv)  # arguments are read under the current digit limit
+        sys.set_int_max_str_digits(0)  # values of any size are printed exactly
         try:
             args.func(args)
         finally:

@@ -2,7 +2,8 @@
 
 The kernel is the completion table C(r, h), the Motzkin triangle (OEIS
 A026300), with M_n = C(n, 0); `weights` reads every weight, rank and unrank
-off it.  `unique_count`, `delta` and `delta_prime` keep the paper's
+off it, from the stored table or, for deep words, from the walk below.
+`unique_count`, `delta` and `delta_prime` keep the paper's
 definitions in terms of M_n, so they stay independent identities.
 
 The table is kept by column, _columns[h][r] = C(r, h), each grown only as
@@ -18,6 +19,22 @@ final, so `weights` reads `_columns` directly on its hot paths.  Two callers
 grow the table: `completions` on a miss (for `motzkin_number` and for
 `weights.pair_nest_weight`), and `weights.unrank` through `_grow`, once at
 each new height of its walk.
+
+The table is one of two ways to read C(r, h).  The other stores nothing:
+`_step` moves the pair (C(r, h), C(r, h+1)) one symbol along a word's lattice
+path, to row r - 1 at height h - 1, h or h + 1.  Column h has generating
+function x^h M(x)^{h+1}, and M is algebraic of degree 2, so each column obeys
+a row step with small polynomial coefficients (Flajolet & Sedgewick,
+*Analytic Combinatorics* VII; OEIS A026300).  With u = r - h, p = h + 1,
+q = h + 2 and s = r + h + 3,
+
+    3rq C(r-1, h)   = 2ps C(r, h+1) - uq C(r, h)
+    3rp C(r-1, h+1) = 2uq C(r, h) - ps C(r, h+1),
+
+and the triangle rule gives the third entry of row r - 1 from row r.  Both
+divisions are exact, and the identities hold up to the diagonal.  A walk
+starts at row n - 1, height 0, from (M_{n-1}, M_n - M_{n-1}) out of column 0.
+`weights` walks the calls whose columns would outgrow its bit budget.
 """
 
 from itertools import repeat
@@ -59,6 +76,20 @@ def _grow(top: int, height: int) -> None:
             below, lower = _columns[h - 1], _columns[h - 2][n:end] if h > 1 else repeat(0)
             new = [a - b - c for a, b, c in zip(below[n + 1:end + 1], below[n:end], lower)]
         column[n:end] = new
+
+
+def _step(r: int, h: int, a: int, b: int, rise: int) -> tuple[int, int]:
+    """The walk state after one symbol: from (a, b) = (C(r, h), C(r, h+1)) at
+    row r >= 1 to (C(r-1, g), C(r-1, g+1)) at g = h + rise, rise in {-1, 0, 1}."""
+    u, p, q, s = r - h, h + 1, h + 2, r + h + 3
+    ua, pb = u * q * a, p * s * b
+    same = (2 * pb - ua) // (3 * r * q)  # C(r-1, h)
+    above = (2 * ua - pb) // (3 * r * p)  # C(r-1, h+1)
+    if rise > 0:
+        return above, b - same - above  # C(r, h+1) is the sum of C(r-1, h..h+2)
+    if rise < 0:
+        return a - same - above, same  # C(r, h) is the sum of C(r-1, h-1..h+1)
+    return same, above
 
 
 def motzkin_number(n: int) -> int:

@@ -24,15 +24,30 @@ C(r, h+1) turns the right-hand side into C(n-1, s+1) + C(k-1, s+2) +
 C(k-1, s+3).  Induction on s from the two base depths proves the form.
 
 `pair_nest_weight` reads the table directly.  `rank` and `decompose` share
-one weighing pass that calls it by its global name once per pair, in the
-opening order of `pair_triples`, so a tracer that rebinds the name sees every
-weight; only `decompose` builds records.  Opening order keeps table growth in
-that order (closing order made cold ranks slower).
+one weighing pass; only `decompose` builds records.  It decides once per word
+how to read C(r, h):
+
+- On the table path it calls `pair_nest_weight` by its global name once per
+  pair, in the opening order of `pair_triples`, so a tracer that rebinds the
+  name sees every weight.  Opening order keeps table growth in that order
+  (closing order made cold ranks slower).
+- A word whose deepest read column, its greatest pair depth + 2, is at least
+  `_cap` of its length is walked instead: `sequences._step` carries
+  (C(left, h), C(left, h+1)) along the word, and each pair's weight is its
+  term at '(' plus its term at ')'.  No column above 0 is read or grown.
+
+`unrank` reads the table until its walk first needs column `_cap(n)`, and
+walks the rest of the word from there.  Columns hold about 0.79 L^2 bits
+each for a word of length L, so `_WALK_BUDGET_BITS` bounds the band either
+call grows; column 0 is still grown to row L.  Words shorter than
+`_WALK_MIN_LENGTH` cannot reach the cap: their calls never look at it.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import count
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from . import sequences
@@ -48,6 +63,21 @@ from .word_model import CLOSE, OPEN, ZERO, Word, is_umw, matched_pairs, pair_tri
 
 # Longest word `compose` builds: about 2 s and linear in the length on a 2-vCPU VM.
 MAX_COMPOSE_LENGTH = 10_000_000
+
+# Bits of completion-table columns above column 0 that one call may grow.  A
+# call on a word of length L that would read column _cap(L) or higher walks
+# instead; 43 500 000 bits gives _cap(1000) = 55.
+_WALK_BUDGET_BITS = 43_500_000
+
+
+def _cap(length: int) -> int:
+    """The lowest column a call on a word of this length walks instead of reading."""
+    return _WALK_BUDGET_BITS * 100 // (79 * length * length)
+
+
+# Shorter words cannot read column _cap(length) (478 symbols at this budget),
+# so their calls skip the depth scan and the cap.
+_WALK_MIN_LENGTH = next(n for n in count(1) if n // 2 + 1 >= _cap(n))
 
 
 def pair_weight(n: int, k: int) -> int:
@@ -117,7 +147,31 @@ def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
         raise NotCanonicalError(f"{w.text!r} is not canonical; strip leading zeros first")
     end = len(w.text) + 1
     triples = pair_triples(w)
+    if (end > _WALK_MIN_LENGTH
+            and max(map(itemgetter(2), triples), default=0) + 2 >= _cap(end - 1)):
+        return end, triples, _walked_weights(w.text, triples)
     return end, triples, [pair_nest_weight(end - a, end - b, depth) for a, b, depth in triples]
+
+
+def _walked_weights(text: str, triples: list[tuple[int, int, int]]) -> list[int]:
+    """The pairs' nest-weights read off the word's lattice path, without the table.
+
+    The count term of each symbol comes from the walk state (C(left, h),
+    C(left, h+1)), which starts at (M_{n-1}, M_n - M_{n-1}).  The last symbol
+    sits at row 0, where every term is 0, so the walk stops before it.
+    """
+    n = len(text)
+    a = sequences.motzkin_number(n - 1)
+    b = sequences.motzkin_number(n) - a
+    terms, height, step = [0] * n, 0, sequences._step
+    for pos, left in enumerate(range(n - 1, 0, -1)):
+        char = text[pos]
+        rise = (char == OPEN) - (char == CLOSE)
+        if rise:
+            terms[pos] = a if rise > 0 else a + b
+        a, b = step(left, height, a, b, rise)
+        height += rise
+    return [terms[x - 1] + terms[y - 1] for x, y, _ in triples]
 
 
 def rank(w: Word) -> int:
@@ -141,8 +195,11 @@ def unrank(i: int) -> Word:
     length search, and column h+1 is first read at the first bracket at
     height h, at row `left`; there the walk grows it if it is short.  Later
     reads of a column come at lower rows and columns only grow, so every
-    other read finds its entry stored.  A walk that does not end at offset 0
-    and height 0 means an inconsistent table.
+    other read finds its entry stored.  When that column is `_cap(n)`, the
+    rest of the word is walked without the table instead, from C(left, h)
+    and C(left, h+1) = C(left+1, h) - C(left, h) - C(left, h-1): column h
+    holds row left + 1 since its own first read.  A walk that does not end
+    at offset 0 and height 0 means an inconsistent table.
     """
     if i < 0:
         raise DomainViolationError(f"unrank requires a nonnegative index, got {i}")
@@ -151,17 +208,23 @@ def unrank(i: int) -> Word:
     while sequences.motzkin_number(n) <= i:
         n += 1
     columns, symbols = sequences._columns, []
+    cap = _cap(n) if n >= _WALK_MIN_LENGTH else n  # a short word's columns stay below n
     offset, height, top = i, 0, 0  # top: the highest column read so far
     for left in range(n - 1, -1, -1):
         zeros = columns[height][left]
         if offset < zeros:
             symbols.append(ZERO)
             continue
-        offset -= zeros
         if height == top:  # the first read of column top + 1, at row left
             top += 1
+            if top >= cap:
+                lower = columns[top - 2][left] if top > 1 else 0
+                offset, height = _unrank_walk(symbols, offset, left, height, zeros,
+                                              columns[top - 1][left + 1] - zeros - lower)
+                break
             if len(columns) <= top or len(columns[top]) <= left:
                 sequences._grow(left + top, top)
+        offset -= zeros
         opens = columns[height + 1][left]
         if offset < opens:
             symbols.append(OPEN)
@@ -176,6 +239,28 @@ def unrank(i: int) -> Word:
         raise MotzkinError(f"unrank({i}) left offset {offset} at height {height}; "
                            "the completion table is inconsistent")
     return Word._balanced("".join(symbols))
+
+
+def _unrank_walk(symbols: list[str], offset: int, left: int, height: int,
+                 zeros: int, opens: int) -> tuple[int, int]:
+    """The rest of `unrank`'s walk from row `left`, choosing each symbol off the
+    walk state (zeros, opens) = (C(left, height), C(left, height+1)) instead
+    of the table.  Returns the final offset and height."""
+    step = sequences._step
+    while True:
+        if offset < zeros:
+            rise = 0
+        else:
+            offset -= zeros
+            rise = 1 if offset < opens else -1
+            if rise < 0:
+                offset -= opens
+        symbols.append((ZERO + OPEN + CLOSE)[rise])  # rise -1 picks the last, CLOSE
+        if not left or height + rise < 0:  # the end, or an inconsistent table
+            return offset, height + rise
+        zeros, opens = step(left, height, zeros, opens, rise)
+        height += rise
+        left -= 1
 
 
 class DecompositionEntry(NamedTuple):

@@ -1,6 +1,6 @@
 import pytest
 
-from motzkin import oracle
+from motzkin import oracle, sequences, weights
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +15,20 @@ def words_through():
         return cache[max_len]
 
     return get
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """The completion table as a fresh process starts it; the old one comes back after."""
+    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+
+
+@pytest.fixture
+def force_cap(monkeypatch):
+    """Sets the column from which every call walks, whatever the word's length:
+    0 walks every word from its first symbol, math.inf never walks."""
+    def force(cap):
+        monkeypatch.setattr(weights, "_cap", lambda length: cap)
+        monkeypatch.setattr(weights, "_WALK_MIN_LENGTH", 1)
+
+    return force

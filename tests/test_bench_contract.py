@@ -2,9 +2,10 @@
 
 `bench/spans.py` times each layer by rebinding public functions by name.
 `bench/selftest.py` pins what that needs of the package: `weights` and
-`pair_arith` import `matched_pairs` by name, every pair weight goes
-through the global name `pair_nest_weight`, and `pair_arith` has exactly
-two public functions.  Two of its checks run here in-process, so a change
+`pair_arith` import `matched_pairs` by name, on the table path every pair
+weight goes through the global name `pair_nest_weight` (a walked word, one
+too deep for its length's column cap, makes no such call), and `pair_arith`
+has exactly two public functions.  Two of its checks run here in-process, so a change
 that breaks the contract fails the unit tests, not only the benchmark's
 own smoke run.
 """

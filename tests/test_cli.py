@@ -279,3 +279,17 @@ def test_the_digit_limit_is_restored_after_a_failed_request(capsys):
     code, _, err = run(capsys, "rank", "(()")
     assert code == 1 and err.startswith("error: ")
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_ctrl_c_while_parsing_arguments_is_a_one_line_error_with_exit_130(capsys, monkeypatch):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_parser", interrupted)
+    limit = sys.get_int_max_str_digits()
+    try:
+        result = run(capsys, "rank", "()")
+    except KeyboardInterrupt:  # escaping, it would stop the whole test run
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert result == (130, "", "error: interrupted\n")
+    assert sys.get_int_max_str_digits() == limit

@@ -36,18 +36,42 @@ def test_rank_of_a_10000_symbol_word_prints_in_a_bounded_process():
         sys.set_int_max_str_digits(sys_limit)
 
 
-@pytest.mark.parametrize("argv, extra_env", [
-    (["rank", "(" * 2000 + ")" * 2000], {}),  # its completion table outgrows the limit
-    (["unrank", "7" * 9543], {"PYTHONINTMAXSTRDIGITS": "0"}),  # past the default digit limit
-])
-def test_running_out_of_memory_is_a_one_line_error(argv, extra_env):
+def _bounded_motzkin(*argv, **extra_env):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **extra_env}
-    proc = subprocess.run([sys.executable, "-m", "motzkin", *argv],
+    return subprocess.run([sys.executable, "-m", "motzkin", *argv],
                           env=env, cwd=ROOT, capture_output=True, text=True,
                           timeout=60, preexec_fn=_limit_memory)
+
+
+@pytest.mark.parametrize("argv, extra_env", [
+    # Both need the Motzkin numbers past 10^5 symbols: column 0 outgrows the limit.
+    (["rank", "()" * 60_000], {}),
+    (["unrank", "7" * 60_000], {"PYTHONINTMAXSTRDIGITS": "0"}),  # past the default digit limit
+])
+def test_running_out_of_memory_is_a_one_line_error(argv, extra_env):
+    proc = _bounded_motzkin(*argv, **extra_env)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
+
+
+def test_a_deep_4000_symbol_word_round_trips_in_a_bounded_process():
+    # Its completion table would outgrow the limit; the walk keeps it in column 0.
+    word = "(" * 2000 + ")" * 2000
+    ranked = _bounded_motzkin("rank", word)
+    assert ranked.returncode == 0, ranked.stderr
+    back = _bounded_motzkin("unrank", ranked.stdout.strip())
+    assert back.returncode == 0, back.stderr
+    assert back.stdout == word + "\n"
+
+
+def test_a_9543_digit_index_round_trips_in_a_bounded_process():
+    index = "7" * 9543
+    word = _bounded_motzkin("unrank", index, PYTHONINTMAXSTRDIGITS="0")
+    assert word.returncode == 0, word.stderr
+    ranked = _bounded_motzkin("rank", word.stdout.strip())
+    assert ranked.returncode == 0, ranked.stderr
+    assert ranked.stdout == index + "\n"
 
 
 def test_a_closed_stdout_pipe_ends_silently_with_exit_1():
@@ -73,6 +97,28 @@ def test_ctrl_c_is_a_one_line_error_with_exit_130():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 130
     assert err == b"error: interrupted\n"
+
+
+def test_ctrl_c_while_importing_the_cli_is_a_one_line_error_with_exit_130():
+    # A finder that raises KeyboardInterrupt at the import of motzkin.cli stands
+    # in for a Ctrl-C that arrives during it.
+    probe = """
+import runpy, sys
+
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == "motzkin.cli":
+            raise KeyboardInterrupt
+
+sys.meta_path.insert(0, Interrupt())
+runpy.run_module("motzkin", run_name="__main__", alter_sys=True)
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe, "rank", "()"], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 130
+    assert proc.stdout == ""
+    assert proc.stderr == "error: interrupted\n"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

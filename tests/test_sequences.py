@@ -98,8 +98,7 @@ def test_paper_sequences_are_identities_of_the_completion_table():
         assert sequences.delta_prime(k) == c(k - 1, 2) + c(k - 1, 3)
 
 
-def test_concurrent_growth_neither_duplicates_nor_skips_rows(monkeypatch):
-    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+def test_concurrent_growth_neither_duplicates_nor_skips_rows(empty_table):
     top = 300
     errors = []
 
@@ -129,21 +128,18 @@ def test_concurrent_growth_neither_duplicates_nor_skips_rows(monkeypatch):
         assert column == [oracle.completions(r, h) for r in range(len(column))]
 
 
-def test_a_diagonal_read_grows_nothing(monkeypatch):
-    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+def test_a_diagonal_read_grows_nothing(empty_table):
     assert sequences.completions(200, 200) == 1
     assert sequences.completions(200, 201) == 0
     assert sequences._columns == [[1, 1]]
 
 
-def test_column_zero_holds_the_motzkin_numbers(monkeypatch):
-    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+def test_column_zero_holds_the_motzkin_numbers(empty_table):
     assert sequences.motzkin_number(300) == oracle.completions(300, 0)
     assert sequences._columns[0] == [oracle.completions(n, 0) for n in range(301)]
 
 
-def test_flat_words_grow_only_the_lowest_columns(monkeypatch):
-    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+def test_flat_words_grow_only_the_lowest_columns(empty_table):
     w = Word("()" * 2000)
     assert weights.unrank(weights.rank(w)) == w
     assert len(sequences._columns) <= 4
@@ -171,8 +167,7 @@ def test_growth_reads_only_the_new_rows_of_stored_columns(monkeypatch):
         assert column[:] == [oracle.completions(r, h) for r in range(len(column))]
 
 
-def test_growing_one_row_at_a_time_matches_the_oracle(monkeypatch):
-    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+def test_growing_one_row_at_a_time_matches_the_oracle(empty_table):
     rng = random.Random(300)
     for r in range(2, 301):
         for h in (0, 1, r % 7, r // 4, rng.randrange(r)):

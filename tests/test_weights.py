@@ -155,11 +155,10 @@ def test_unrank_rejects_negative_index():
         unrank(-1)
 
 
-def test_unrank_reports_an_inconsistent_table(monkeypatch):
+def test_unrank_reports_an_inconsistent_table(empty_table):
     # one stored count off by one makes some walks end off the word; the
     # check after the walk turns that into a MotzkinError naming the index,
     # and no index may raise anything else
-    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
     unrank(299)
     sequences._columns[1][2] += 1
     with pytest.raises(MotzkinError, match=r"unrank\(6\)"):
@@ -469,7 +468,7 @@ def _random_canonical_text(rng, n):
     return canonical_text([rng.randrange(6) for _ in range(n)])
 
 
-def test_direct_reads_from_an_empty_table_agree_across_threads(monkeypatch):
+def test_direct_reads_from_an_empty_table_agree_across_threads(empty_table):
     rng = random.Random(2024)
     jobs = []
     for _ in range(8):
@@ -478,7 +477,6 @@ def test_direct_reads_from_an_empty_table_agree_across_threads(monkeypatch):
         deep = "(" * depth + _random_canonical_text(rng, n - 2 * depth) + ")" * depth
         texts = [deep, _random_canonical_text(rng, n), _random_canonical_text(rng, 600 - n)]
         jobs.append([(Word(t), oracle.rank_by_counting(Word(t))) for t in texts])
-    monkeypatch.setattr(sequences, "_columns", [[1, 1]])
     results, errors = [], []
 
     def work(job):
