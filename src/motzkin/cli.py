@@ -30,6 +30,12 @@ DASH = "–"
 MAX_SEQ_UPTO = 10_000
 MAX_TABLE_N = 300
 
+# Longest text of an integer argument, and the longest an error echoes.
+MAX_INTEGER_CHARS = 80
+# Longest `unrank` index: above the ~62 530 digits of M_131071, the largest rank
+# `rank` prints for a word that fits in one Linux argument (131 071 characters).
+MAX_INDEX_DIGITS = 65_536
+
 _SEQUENCES = {
     "motzkin": (0, sequences.motzkin_number),
     "unique": (1, sequences.unique_count),
@@ -38,25 +44,23 @@ _SEQUENCES = {
 }
 
 
-def _echo(text: str, shown: str) -> str:  # text over 80 characters is named by its length
-    return shown if len(text) <= 80 else f"a value of {len(text)} characters"
+def _echo(text: str, shown: str) -> str:  # longer text is named by its length alone
+    return shown if len(text) <= MAX_INTEGER_CHARS else f"a value of {len(text)} characters"
 
 
-def _integer(maximum: int | None = None):
-    """The argument type of every integer argument.  A value past Python's
-    digit limit for reading ints, or over `maximum`, is a usage error."""
+def _integer(maximum: int | None = None, longest: int = MAX_INTEGER_CHARS):
+    """The argument type of every integer argument.  Text over `longest`
+    characters, or a value over `maximum`, is a usage error."""
     def read(text: str) -> int:
+        if len(text) > longest:
+            raise argparse.ArgumentTypeError(
+                f"a value of {len(text)} characters is over the {longest}-character limit")
         try:
             value = int(text)
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            if 0 < limit < len(text):
-                raise argparse.ArgumentTypeError(f"a value of {len(text)} characters is over "
-                                                 f"Python's {limit}-digit limit for reading ints")
             raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text, repr(text))}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(
-                f"{_echo(text, str(value))} is over the maximum of {maximum}")
+            raise argparse.ArgumentTypeError(f"{value} is over the maximum of {maximum}")
         return value
     return read
 
@@ -144,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("unrank", help="print the word with the given rank")
-    p.add_argument("index", type=_integer())
+    p.add_argument("index", type=_integer(longest=MAX_INDEX_DIGITS))
     p.set_defaults(func=_cmd_unrank)
 
     p = sub.add_parser("decompose", help="list the prime pairs of a word")
@@ -191,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     try:
-        args = build_parser().parse_args(argv)  # arguments are read under the current digit limit
-        sys.set_int_max_str_digits(0)  # values of any size are printed exactly
+        sys.set_int_max_str_digits(0)  # `_integer` bounds what is read; results print exactly
+        args = build_parser().parse_args(argv)
         try:
             args.func(args)
         finally:

@@ -39,14 +39,14 @@ how to read C(r, h):
 `unrank` reads the table until its walk first needs column `_cap(n)`, and
 walks the rest of the word from there.  Columns hold about 0.79 L^2 bits
 each for a word of length L, so `_WALK_BUDGET_BITS` bounds the band either
-call grows; column 0 is still grown to row L.  Words shorter than
-`_WALK_MIN_LENGTH` cannot reach the cap: their calls never look at it.
+call grows; column 0 is still grown to row L.  `_cap` alone picks the walk.
+Words under 478 symbols cannot reach it, as n // 2 + 1 < `_cap(n)` there, so
+`_weigh` skips their depth scan.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import count
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -73,11 +73,6 @@ _WALK_BUDGET_BITS = 43_500_000
 def _cap(length: int) -> int:
     """The lowest column a call on a word of this length walks instead of reading."""
     return _WALK_BUDGET_BITS * 100 // (79 * length * length)
-
-
-# Shorter words cannot read column _cap(length) (478 symbols at this budget),
-# so their calls skip the depth scan and the cap.
-_WALK_MIN_LENGTH = next(n for n in count(1) if n // 2 + 1 >= _cap(n))
 
 
 def pair_weight(n: int, k: int) -> int:
@@ -147,8 +142,9 @@ def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
         raise NotCanonicalError(f"{w.text!r} is not canonical; strip leading zeros first")
     end = len(w.text) + 1
     triples = pair_triples(w)
-    if (end > _WALK_MIN_LENGTH
-            and max(map(itemgetter(2), triples), default=0) + 2 >= _cap(end - 1)):
+    cap = _cap(end - 1)
+    # No pair sits deeper than (end - 1) // 2 - 1, so most words skip the depth scan.
+    if (end - 1) // 2 + 1 >= cap and max(map(itemgetter(2), triples), default=0) + 2 >= cap:
         return end, triples, _walked_weights(w.text, triples)
     return end, triples, [pair_nest_weight(end - a, end - b, depth) for a, b, depth in triples]
 
@@ -208,7 +204,7 @@ def unrank(i: int) -> Word:
     while sequences.motzkin_number(n) <= i:
         n += 1
     columns, symbols = sequences._columns, []
-    cap = _cap(n) if n >= _WALK_MIN_LENGTH else n  # a short word's columns stay below n
+    cap = _cap(n)
     offset, height, top = i, 0, 0  # top: the highest column read so far
     for left in range(n - 1, -1, -1):
         zeros = columns[height][left]

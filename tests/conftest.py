@@ -29,6 +29,5 @@ def force_cap(monkeypatch):
     0 walks every word from its first symbol, math.inf never walks."""
     def force(cap):
         monkeypatch.setattr(weights, "_cap", lambda length: cap)
-        monkeypatch.setattr(weights, "_WALK_MIN_LENGTH", 1)
 
     return force

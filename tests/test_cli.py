@@ -213,21 +213,23 @@ def test_ranks_past_the_int_str_limit_print_exactly(capsys):
 
 
 def test_unrank_index_past_the_int_str_limit_names_the_limit(capsys):
-    limit = sys.get_int_max_str_digits()
+    # The CLI's own bound decides, not Python's digit limit.
     with pytest.raises(SystemExit) as exc:
-        cli.main(["unrank", "7" * (limit + 1)])
+        cli.main(["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"{limit}-digit" in err.splitlines()[-1]
+    assert err.splitlines()[-1].endswith(
+        f"a value of {cli.MAX_INDEX_DIGITS + 1} characters is over the "
+        f"{cli.MAX_INDEX_DIGITS}-character limit")
     assert "invalid int value" not in err
-    assert "7" * 50 not in err
+    assert "77" not in err
 
 
 _LONG = "7" * 5000
 
 
 @pytest.mark.parametrize("argv", [
-    ["unrank", _LONG],
+    ["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)],
     ["compose", "--pair", "1,2", "--length", _LONG],
     ["compose", "--length", "6", "--pair", "1," + _LONG],
     ["compose", "--length", "6", "--pair", _LONG + ",2"],
@@ -235,6 +237,10 @@ _LONG = "7" * 5000
     ["enumerate", "--length", _LONG],
     ["table", "--max-n", _LONG],
     ["verify", "--max-len", _LONG],
+    # Under Python's default digit limit: these were read, then echoed in full.
+    ["enumerate", "--length", "7" * 4000],
+    ["verify", "--max-len", "7" * 4000],
+    ["compose", "--length", "6", "--pair", "1," + "7" * 4000],
 ])
 def test_every_integer_argument_past_the_int_str_limit_is_a_short_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -243,13 +249,15 @@ def test_every_integer_argument_past_the_int_str_limit_is_a_short_usage_error(ca
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.encode()) < 400
-    assert f"{sys.get_int_max_str_digits()}-digit" in err
+    bound = cli.MAX_INDEX_DIGITS if argv[0] == "unrank" else cli.MAX_INTEGER_CHARS
+    assert f"characters is over the {bound}-character limit" in err
     assert "invalid int value" not in err
+    assert "77" not in err
 
 
 @pytest.mark.parametrize("argv, message", [
     (["seq", "motzkin", "--upto", "7" * 4300],
-     "a value of 4300 characters is over the maximum of 10000"),
+     "a value of 4300 characters is over the 80-character limit"),
     (["unrank", "x" * 4000], "invalid int value: a value of 4000 characters"),
     (["compose", "--length", "6", "--pair", "7" * 5000],
      "expected open,close positions like 3,7 (got a value of 5000 characters)"),
@@ -262,6 +270,35 @@ def test_long_values_under_the_int_str_limit_are_named_by_their_length(capsys, a
     assert out == ""
     assert len(err.encode()) < 400
     assert err.splitlines()[-1].endswith(message)
+
+
+def test_the_interpreters_digit_limit_changes_no_output(capsys):
+    word = "()" * 5000  # its rank has 4766 digits
+    refused = [["enumerate", "--length", "7" * 4000],
+               ["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)],
+               ["unrank", "x" * 5000]]
+    limit = sys.get_int_max_str_digits()
+    outputs = []
+    try:
+        for entry in (640, 0):
+            sys.set_int_max_str_digits(entry)
+            ranked = run(capsys, "rank", word)
+            assert sys.get_int_max_str_digits() == entry
+            results = [ranked, run(capsys, "unrank", ranked[1].strip())]
+            assert sys.get_int_max_str_digits() == entry
+            for argv in refused:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv)
+                results.append((exc.value.code, *capsys.readouterr()))
+                assert sys.get_int_max_str_digits() == entry
+            outputs.append(results)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert outputs[0] == outputs[1]
+    ranked, back, *refusals = outputs[0]
+    assert ranked[0] == 0 and len(ranked[1]) == 4767
+    assert back == (0, word + "\n", "")
+    assert [(code, out) for code, out, _ in refusals] == [(2, "")] * len(refused)
 
 
 def test_no_argument_is_read_by_bare_int():

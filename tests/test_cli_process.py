@@ -36,20 +36,20 @@ def test_rank_of_a_10000_symbol_word_prints_in_a_bounded_process():
         sys.set_int_max_str_digits(sys_limit)
 
 
-def _bounded_motzkin(*argv, **extra_env):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **extra_env}
+def _bounded_motzkin(*argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, "-m", "motzkin", *argv],
                           env=env, cwd=ROOT, capture_output=True, text=True,
                           timeout=60, preexec_fn=_limit_memory)
 
 
-@pytest.mark.parametrize("argv, extra_env", [
+@pytest.mark.parametrize("argv", [
     # Both need the Motzkin numbers past 10^5 symbols: column 0 outgrows the limit.
-    (["rank", "()" * 60_000], {}),
-    (["unrank", "7" * 60_000], {"PYTHONINTMAXSTRDIGITS": "0"}),  # past the default digit limit
+    ["rank", "()" * 60_000],
+    ["unrank", "7" * 60_000],  # past the interpreter's default digit limit
 ])
-def test_running_out_of_memory_is_a_one_line_error(argv, extra_env):
-    proc = _bounded_motzkin(*argv, **extra_env)
+def test_running_out_of_memory_is_a_one_line_error(argv):
+    proc = _bounded_motzkin(*argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
@@ -67,7 +67,7 @@ def test_a_deep_4000_symbol_word_round_trips_in_a_bounded_process():
 
 def test_a_9543_digit_index_round_trips_in_a_bounded_process():
     index = "7" * 9543
-    word = _bounded_motzkin("unrank", index, PYTHONINTMAXSTRDIGITS="0")
+    word = _bounded_motzkin("unrank", index)  # past the interpreter's default digit limit
     assert word.returncode == 0, word.stderr
     ranked = _bounded_motzkin("rank", word.stdout.strip())
     assert ranked.returncode == 0, ranked.stderr

@@ -100,6 +100,33 @@ def test_unrank_hands_over_mid_word_and_no_call_reads_the_cap_column(
     assert len(sequences._columns) == cap  # columns 0 .. cap - 1, never cap itself
 
 
+def test_the_deepest_words_walk_from_478_symbols_on(monkeypatch, empty_table):
+    # The cap as shipped: below 478 symbols n // 2 + 1 < _cap(n), so even the
+    # deepest word reads only stored columns; at 478 its innermost pair reaches
+    # _cap(478) = 240.
+    steps = []
+    true_step = sequences._step
+
+    def counted(*args):
+        steps.append(args)
+        return true_step(*args)
+
+    monkeypatch.setattr(sequences, "_step", counted)
+    for length in range(470, 479):
+        w = Word("(" * (length // 2) + ")" * (length // 2) + "0" * (length % 2))
+        r = oracle.rank_by_counting(w)
+        counts = []
+        for call, arg, answer in ((rank, w, r), (decompose, w, None), (unrank, r, w)):
+            steps.clear()
+            result = call(arg)
+            assert answer is None or result == answer
+            counts.append(len(steps))
+        if length < 478:
+            assert counts == [0, 0, 0], length
+        else:
+            assert 0 not in counts
+
+
 def test_a_deep_word_of_10000_symbols_stays_under_1_gib():
     # The table path would grow about 25 GB of columns for this word.
     probe = """
