@@ -46,6 +46,7 @@ Words under 478 symbols cannot reach it, as n // 2 + 1 < `_cap(n)` there, so
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -197,8 +198,9 @@ def unrank(i: int) -> Word:
     holds row left + 1 since its own first read.  A walk that does not end
     at offset 0 and height 0 means an inconsistent table.
     """
-    if i < 0:
-        raise DomainViolationError(f"unrank requires a nonnegative index, got {i}")
+    if i < 0:  # echo at most 80 characters, as the CLI does
+        shown = str(i) if i > -10**79 else f"a negative one of {_digit_count(-i)} digits"
+        raise DomainViolationError(f"unrank requires a nonnegative index, got {shown}")
     # M_n < 3^n, so the answer exceeds log_3 i >= floor(log2 i) / 1.59
     n = max(1, (i.bit_length() - 1) * 100 // 159)
     while sequences.motzkin_number(n) <= i:
@@ -235,6 +237,14 @@ def unrank(i: int) -> Word:
         raise MotzkinError(f"unrank({i}) left offset {offset} at height {height}; "
                            "the completion table is inconsistent")
     return Word._balanced("".join(symbols))
+
+
+def _digit_count(x: int) -> int:
+    """Decimal digits of x > 0, without str(): Python limits that to 4300 digits
+    by default, and it takes quadratic time."""
+    d = int(math.log10(x)) + 1  # log10 reads an int of any size, to float precision
+    power = 10 ** (d - 1)
+    return d - 1 if power > x else d + 1 if power * 10 <= x else d
 
 
 def _unrank_walk(symbols: list[str], offset: int, left: int, height: int,

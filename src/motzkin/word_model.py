@@ -13,12 +13,23 @@ Only `Word._balanced` skips the check, for two outputs known to balance.
 
 `pair_triples` is the pair matcher, with plain (open, close, depth) tuples;
 `matched_pairs` is its named view, the same pairs as `PairSite`s.
+
+`parse` keeps the last texts it read, at most `_STORE_SIZE` (8), each with
+the `Word` built for it and, once `pair_triples` is first asked for that
+text, its pairs as a tuple; the store is emptied when full.  So a word
+parsed again is neither checked nor matched again: `parse` returns the
+stored `Word`, and `pair_triples` a fresh list of the stored pairs.  Nothing
+else is stored: not a text that fails the check, and not a `Word` built
+another way (`Word()`, `unrank`, `padd`/`psub`, `compose`, the oracle's
+enumeration), which `pair_triples` matches on each call unless its text is
+in the store.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate
+from threading import Lock
 from typing import NamedTuple
 
 from .errors import EmptyInputError, IllegalCharacterError, UnbalancedError
@@ -30,6 +41,11 @@ CLOSE = ")"
 _SYMBOL_ORDER = str.maketrans(ZERO + OPEN + CLOSE, "012")
 _STEP = {ZERO: 0, OPEN: 1, CLOSE: -1}
 _NOT_SYMBOLS = str.maketrans("", "", ZERO + OPEN + CLOSE)
+
+# text -> [its Word, its pairs as a tuple or None until first matched]
+_STORE_SIZE = 8
+_store: dict[str, list] = {}
+_store_lock = Lock()  # keeps the emptying and the insertion together, so the bound holds
 
 
 class Word:
@@ -110,8 +126,19 @@ class PrimeSegment(NamedTuple):
 
 
 def parse(text: str) -> Word:
-    """Validate a character string and return it as a Word."""
-    return Word(text)
+    """Validate a character string and return it as a Word.
+
+    A text among the last `_STORE_SIZE` parsed returns the same Word, unchecked.
+    """
+    entry = _store.get(text)
+    if entry is not None:
+        return entry[0]
+    w = Word(text)
+    with _store_lock:
+        if len(_store) >= _STORE_SIZE:
+            _store.clear()
+        _store[text] = [w, None]
+    return w
 
 
 def is_umw(w: Word) -> bool:
@@ -124,8 +151,12 @@ def pair_triples(w: Word) -> list[tuple[int, int, int]]:
 
     Pairs come in opening-bracket order.  Each '(' holds its slot with its
     position until its ')' writes the triple there; depth counts the strictly
-    enclosing pairs, so a top-level pair has depth 0.
+    enclosing pairs, so a top-level pair has depth 0.  The pairs of a text in
+    `parse`'s store are matched once and copied on later calls.
     """
+    entry = _store.get(w.text)
+    if entry is not None and entry[1] is not None:
+        return list(entry[1])
     sites: list = []
     stack: list[int] = []
     for pos, char in enumerate(w.text, start=1):
@@ -135,6 +166,8 @@ def pair_triples(w: Word) -> list[tuple[int, int, int]]:
         elif char == CLOSE:
             slot = stack.pop()
             sites[slot] = (sites[slot], pos, len(stack))
+    if entry is not None:
+        entry[1] = tuple(sites)
     return sites
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from motzkin import oracle, sequences, weights
+from motzkin import oracle, sequences, weights, word_model
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +21,13 @@ def words_through():
 def empty_table(monkeypatch):
     """The completion table as a fresh process starts it; the old one comes back after."""
     monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """`parse`'s store of recent texts as a fresh process starts it, for tests
+    that count checks or matchings; the old one comes back after."""
+    monkeypatch.setattr(word_model, "_store", {})
 
 
 @pytest.fixture

@@ -24,7 +24,8 @@ def selftest(monkeypatch):
     return importlib.import_module("selftest")
 
 
-def test_traced_self_times_stay_within_span_durations(selftest):
+def test_traced_self_times_stay_within_span_durations(selftest, empty_store):
+    # the smoke run counts `Word` checks, so its words must not be in `parse`'s store
     selftest.test_self_times_within_span_durations()
 
 

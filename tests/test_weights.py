@@ -151,8 +151,11 @@ def test_unrank_worked_examples(i, text):
 
 
 def test_unrank_rejects_negative_index():
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainViolationError, match=r"nonnegative index, got -1$"):
         unrank(-1)
+    # past Python's 4300-digit str() limit the message names the digit count
+    with pytest.raises(DomainViolationError, match=r"got a negative one of 5001 digits$"):
+        unrank(-10**5000)
 
 
 def test_unrank_reports_an_inconsistent_table(empty_table):

@@ -1,12 +1,15 @@
 import copy
 import inspect
 import pickle
+import random
+import sys
+import threading
 from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motzkin import oracle, weights, word_model
+from motzkin import checks, oracle, weights, word_model
 from motzkin.pair_arith import padd, psub
 from motzkin.word_model import (
     PairSite,
@@ -21,7 +24,7 @@ from motzkin.word_model import (
 )
 from motzkin.errors import EmptyInputError, IllegalCharacterError, UnbalancedError
 
-from long_words import canonical_texts
+from long_words import canonical_text, canonical_texts
 
 
 @st.composite
@@ -314,3 +317,112 @@ def test_unpickling_checks_the_text_again():
     forged = pickle.dumps(Word("(0)")).replace(b"(0)", b"(0(")
     with pytest.raises(UnbalancedError):
         pickle.loads(forged)
+
+
+# `parse`'s store of recent texts
+
+
+def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(empty_store, monkeypatch):
+    checked = []
+    check = Word.__post_init__
+    monkeypatch.setattr(Word, "__post_init__", lambda self: checked.append(self.text) or check(self))
+    w = parse("((00)0(0()))")
+    assert parse("((00)0(0()))") is w
+    assert checked == ["((00)0(0()))"]
+    assert word_model._store[w.text] == [w, None]
+    assert weights.rank(w) == 9763
+    stored = word_model._store[w.text][1]
+    assert stored == ((1, 12, 0), (2, 5, 1), (7, 11, 1), (9, 10, 2))
+    # later calls copy the stored pairs instead of matching the text again
+    word_model._store[w.text][1] = planted = ((1, 12, 0),)
+    assert pair_triples(w) == [(1, 12, 0)]
+    assert pair_triples(Word(w.text)) == [(1, 12, 0)]  # the text decides, not the object
+    assert word_model._store[w.text][1] is planted
+    assert checked == ["((00)0(0()))", "((00)0(0()))"]
+
+
+def test_mutating_the_pairs_returned_changes_no_later_answer(empty_store):
+    w = parse("(0())0")
+    for _ in range(3):
+        pairs = pair_triples(w)
+        assert pairs == [(1, 5, 0), (3, 4, 1)]
+        pairs[0] = None
+        pairs.append((9, 9, 9))
+    assert [tuple(site) for site in matched_pairs(w)] == [(1, 5, 0), (3, 4, 1)]
+    assert weights.decompose(w).total == 28
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", EmptyInputError), ("(()", UnbalancedError), ("(x)", IllegalCharacterError)])
+def test_a_failing_text_raises_on_every_parse_and_is_never_stored(empty_store, text, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            parse(text)
+    assert word_model._store == {}
+
+
+def test_the_store_holds_at_most_eight_texts(empty_store):
+    sizes = []
+    for n in range(1000):
+        text = "(" + "0" * n + ")"
+        assert pair_triples(parse(text)) == [(1, n + 2, 0)]
+        sizes.append(len(word_model._store))
+    assert max(sizes) == word_model._STORE_SIZE == 8
+    assert word_model._store[text][0].text == text
+
+
+def test_words_built_without_parse_are_never_stored(empty_store):
+    weighed = parse("(0)")
+    assert weights.rank(weighed) == 2
+    parse("(" * 30 + ")" * 30)
+    before = {text: list(entry) for text, entry in word_model._store.items()}
+    assert all(result.passed for result in checks.run_checks(10))
+    x = Word("(0)00")
+    z = padd(x, Word("()"))
+    built = [x, z, psub(z, x), weights.unrank(10**40), weights.compose(6, [(1, 5), (3, 4)]),
+             *(segment.word for segment in prime_segments(z))]
+    for w in built:
+        weights.decompose(strip_leading_zeros(w))
+    assert word_model._store == before
+
+
+def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_oracle(
+        empty_store):
+    rng = random.Random(17)
+    shared = [canonical_text(rng.randbytes(n)) for n in (40, 90, 150)]
+    jobs = [shared + [canonical_text(rng.randbytes(rng.randrange(20, 160))) for _ in range(6)]
+            for _ in range(8)]
+    texts = {text for job in jobs for text in job}
+    expected = {text: (oracle.rank_by_counting(Word(text)), pair_triples(Word(text)))
+                for text in texts}
+    results, sizes, errors = [], [], []
+
+    def work(job):
+        try:
+            for _ in range(3):
+                for text in job:
+                    w = parse(text)
+                    sizes.append(len(word_model._store))
+                    results.append((text, w.text, weights.rank(w), weights.decompose(w).total,
+                                    pair_triples(w)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(job,)) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 8 * 3 * 9
+    for text, parsed, ranked, total, pairs in results:
+        assert parsed == text
+        assert (ranked, pairs) == expected[text]
+        assert total == ranked
+    assert max(sizes) <= word_model._STORE_SIZE
