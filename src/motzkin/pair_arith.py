@@ -26,8 +26,7 @@ from .errors import (
     NotSubwordError,
     NotTopLevelError,
 )
-from .word_model import Word, pair_triples
-from .word_model import matched_pairs  # noqa: F401  bench/selftest.py pins the tracer here
+from .word_model import Word, matched_pairs
 
 _OPENS = str.maketrans("0()", "010")
 _CLOSES = str.maketrans("0()", "001")
@@ -51,7 +50,7 @@ def _same_blocks(y: Word, text: str, width: int, error: type, fault: str) -> Non
     not a top-level block of `text` with the same symbols."""
     ytext = y.text
     shift, end = len(text) - len(ytext), 0
-    for lo, hi, depth in pair_triples(y):
+    for lo, hi, depth in matched_pairs(y):
         if not depth:
             start = lo - 1 + shift
             if (text.count("(", end, start) != text.count(")", end, start)

@@ -28,7 +28,7 @@ one weighing pass; only `decompose` builds records.  It decides once per word
 how to read C(r, h):
 
 - On the table path it calls `pair_nest_weight` by its global name once per
-  pair, in the opening order of `pair_triples`, so a tracer that rebinds the
+  pair, in the opening order of `matched_pairs`, so a tracer that rebinds the
   name sees every weight.  Opening order keeps table growth in that order
   (closing order made cold ranks slower).
 - A word whose deepest read column, its greatest pair depth + 2, is at least
@@ -60,7 +60,7 @@ from .errors import (
     PositionConflictError,
     RangeTooLargeError,
 )
-from .word_model import CLOSE, OPEN, ZERO, Word, is_umw, matched_pairs, pair_triples
+from .word_model import CLOSE, OPEN, ZERO, Word, is_umw, matched_pairs
 
 # Longest word `compose` builds: about 2 s and linear in the length on a 2-vCPU VM.
 MAX_COMPOSE_LENGTH = 10_000_000
@@ -142,7 +142,7 @@ def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     if not is_umw(w):
         raise NotCanonicalError(f"{w.text!r} is not canonical; strip leading zeros first")
     end = len(w.text) + 1
-    triples = pair_triples(w)
+    triples = matched_pairs(w)
     cap = _cap(end - 1)
     # No pair sits deeper than (end - 1) // 2 - 1, so most words skip the depth scan.
     if (end - 1) // 2 + 1 >= cap and max(map(itemgetter(2), triples), default=0) + 2 >= cap:

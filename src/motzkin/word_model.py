@@ -11,23 +11,22 @@ nothing, the running height (`accumulate` over the steps) never drops below
 through the per-character loop, which names the first error and its position.
 Only `Word._balanced` skips the check, for two outputs known to balance.
 
-`pair_triples` is the pair matcher, with plain (open, close, depth) tuples;
-`matched_pairs` is its named view, the same pairs as `PairSite`s.
+`matched_pairs` is the pair matcher: plain (open, close, depth) tuples.
 
 `parse` keeps the last texts it read, at most `_STORE_SIZE` (8), each with
-the `Word` built for it and, once `pair_triples` is first asked for that
+the `Word` built for it and, once `matched_pairs` is first asked for that
 text, its pairs as a tuple; the store is emptied when full.  So a word
 parsed again is neither checked nor matched again: `parse` returns the
-stored `Word`, and `pair_triples` a fresh list of the stored pairs.  Nothing
-else is stored: not a text that fails the check, and not a `Word` built
-another way (`Word()`, `unrank`, `padd`/`psub`, `compose`, the oracle's
-enumeration), which `pair_triples` matches on each call unless its text is
-in the store.
+stored `Word`, and `matched_pairs` a fresh list of the stored pairs.  Nothing
+else is stored: not a text that fails the check, not a text longer than
+`_STORE_MAX_LENGTH` (65 536) symbols, which bounds the pairs kept to about
+32 MiB, and not a `Word` built another way (`Word()`, `unrank`,
+`padd`/`psub`, `compose`, the oracle's enumeration), which `matched_pairs`
+matches on each call unless its text is in the store.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import accumulate
 from threading import Lock
 from typing import NamedTuple
@@ -44,6 +43,7 @@ _NOT_SYMBOLS = str.maketrans("", "", ZERO + OPEN + CLOSE)
 
 # text -> [its Word, its pairs as a tuple or None until first matched]
 _STORE_SIZE = 8
+_STORE_MAX_LENGTH = 65_536
 _store: dict[str, list] = {}
 _store_lock = Lock()  # keeps the emptying and the insertion together, so the bound holds
 
@@ -107,17 +107,6 @@ class Word:
         return self.text
 
 
-class PairSite(NamedTuple):
-    """One matched pair: 1-based bracket positions plus nesting depth."""
-
-    open_pos: int
-    close_pos: int
-    depth: int
-
-
-_pair_site = partial(tuple.__new__, PairSite)
-
-
 class PrimeSegment(NamedTuple):
     """A top-level block of a word, carried with its trailing zeros."""
 
@@ -128,16 +117,18 @@ class PrimeSegment(NamedTuple):
 def parse(text: str) -> Word:
     """Validate a character string and return it as a Word.
 
-    A text among the last `_STORE_SIZE` parsed returns the same Word, unchecked.
+    A text of at most `_STORE_MAX_LENGTH` symbols among the last `_STORE_SIZE`
+    parsed returns the same Word, unchecked.
     """
     entry = _store.get(text)
     if entry is not None:
         return entry[0]
     w = Word(text)
-    with _store_lock:
-        if len(_store) >= _STORE_SIZE:
-            _store.clear()
-        _store[text] = [w, None]
+    if len(text) <= _STORE_MAX_LENGTH:
+        with _store_lock:
+            if len(_store) >= _STORE_SIZE:
+                _store.clear()
+            _store[text] = [w, None]
     return w
 
 
@@ -146,7 +137,7 @@ def is_umw(w: Word) -> bool:
     return w.text == ZERO or w.text[0] == OPEN
 
 
-def pair_triples(w: Word) -> list[tuple[int, int, int]]:
+def matched_pairs(w: Word) -> list[tuple[int, int, int]]:
     """All matched pairs of a word as plain (open_pos, close_pos, depth) tuples.
 
     Pairs come in opening-bracket order.  Each '(' holds its slot with its
@@ -169,11 +160,6 @@ def pair_triples(w: Word) -> list[tuple[int, int, int]]:
     if entry is not None:
         entry[1] = tuple(sites)
     return sites
-
-
-def matched_pairs(w: Word) -> list[PairSite]:
-    """The pairs of `pair_triples`, as `PairSite` named tuples."""
-    return list(map(_pair_site, pair_triples(w)))
 
 
 def prime_segments(w: Word) -> list[PrimeSegment]:

@@ -14,15 +14,14 @@ from motzkin.word_model import Word, matched_pairs, strip_leading_zeros
 
 def defined_applications(z: Word):
     """Yield every (x, y) of canonical words with padd(x, y) == z, len x > len y."""
-    tops = [s for s in matched_pairs(z) if s.depth == 0]
+    tops = [(a - 1, b) for a, b, depth in matched_pairs(z) if depth == 0]
     text = z.text
     movable = tops[1:]
     for mask in range(1, 1 << len(movable)):
-        to_y = [site for i, site in enumerate(movable) if mask & (1 << i)]
+        to_y = [span for i, span in enumerate(movable) if mask & (1 << i)]
         x_chars = list(text)
         y_chars = ["0"] * len(text)
-        for site in to_y:
-            lo, hi = site.open_pos - 1, site.close_pos
+        for lo, hi in to_y:
             x_chars[lo:hi] = "0" * (hi - lo)
             y_chars[lo:hi] = text[lo:hi]
         yield Word("".join(x_chars)), strip_leading_zeros(Word("".join(y_chars)))

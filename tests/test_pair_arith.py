@@ -13,7 +13,7 @@ from motzkin.errors import (
 )
 from motzkin.pair_arith import padd, psub
 from motzkin.weights import rank
-from motzkin.word_model import Word, pair_triples, parse
+from motzkin.word_model import Word, matched_pairs, parse
 
 from arith_enumeration import defined_applications
 from long_words import canonical_text, canonical_texts
@@ -222,8 +222,8 @@ def test_psub_outcomes_match_a_per_position_scan_and_brute_force_spans(words_thr
 
 def test_each_operation_matches_the_pairs_of_the_right_operand_alone(monkeypatch):
     calls = []
-    real = pair_arith.pair_triples
-    monkeypatch.setattr(pair_arith, "pair_triples", lambda w: calls.append(w) or real(w))
+    real = pair_arith.matched_pairs
+    monkeypatch.setattr(pair_arith, "matched_pairs", lambda w: calls.append(w) or real(w))
     x, y, z = parse("()0000000"), parse("(0())0"), parse("()0(0())0")
     for op, left, right in ((padd, x, y), (psub, z, y), (padd, parse("(000000)"), parse("()00000")),
                             (psub, parse("(()())"), parse("()0"))):
@@ -311,7 +311,7 @@ def test_a_block_inside_a_long_pair_span_is_refused(text, data):
 def test_psub_refuses_a_nested_or_altered_block_of_a_long_word(text, data):
     # one more pair around text nests every pair of text inside the host
     host = Word("(" + text + ")")
-    triples = pair_triples(Word(text))
+    triples = matched_pairs(Word(text))
     a, b, _ = triples[data.draw(st.integers(min_value=0, max_value=len(triples) - 1))]
     nested = Word(text[a - 1:b] + "0" * (len(text) - b + 1))
     with pytest.raises(NotTopLevelError, match=rf"block at \({a + 1}, {b + 1}\) "):

@@ -88,7 +88,8 @@ def test_prime_pair_words_are_single_pair_words():
             assert len(w) == n
             sites = matched_pairs(w)
             assert len(sites) == 1
-            assert len(w) - sites[0].close_pos + 1 == k
+            (_, close, _), = sites
+            assert len(w) - close + 1 == k
 
 
 @pytest.mark.parametrize("n, k", [(3, 3), (4, 0), (2, -1), (1, 0), (2, 5)])

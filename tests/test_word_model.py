@@ -12,12 +12,10 @@ from hypothesis import given, settings, strategies as st
 from motzkin import checks, oracle, weights, word_model
 from motzkin.pair_arith import padd, psub
 from motzkin.word_model import (
-    PairSite,
     Word,
     compare_lex,
     is_umw,
     matched_pairs,
-    pair_triples,
     parse,
     prime_segments,
     strip_leading_zeros,
@@ -127,9 +125,8 @@ def test_is_umw(text, expected):
 
 
 def test_matched_pairs_worked_examples():
-    assert matched_pairs(parse("(0())0")) == [PairSite(1, 5, 0), PairSite(3, 4, 1)]
-    assert matched_pairs(parse("((00)0(0()))")) == [
-        PairSite(1, 12, 0), PairSite(2, 5, 1), PairSite(7, 11, 1), PairSite(9, 10, 2)]
+    assert matched_pairs(parse("(0())0")) == [(1, 5, 0), (3, 4, 1)]
+    assert matched_pairs(parse("((00)0(0()))")) == [(1, 12, 0), (2, 5, 1), (7, 11, 1), (9, 10, 2)]
     assert matched_pairs(parse("0")) == []
 
 
@@ -138,20 +135,20 @@ def test_matched_pairs_form_a_laminar_family(text):
     w = parse(text)
     sites = matched_pairs(w)
     assert len(sites) == text.count("(")
-    assert [s.open_pos for s in sites] == sorted(s.open_pos for s in sites)
-    for a in sites:
-        assert a.open_pos < a.close_pos
+    assert [a for a, _, _ in sites] == sorted(a for a, _, _ in sites)
+    for i, (a_open, a_close, a_depth) in enumerate(sites):
+        assert a_open < a_close
         enclosing = 0
-        for b in sites:
-            if a is b:
+        for j, (b_open, b_close, _) in enumerate(sites):
+            if i == j:
                 continue
-            disjoint = b.close_pos < a.open_pos or a.close_pos < b.open_pos
-            nested = (b.open_pos < a.open_pos and a.close_pos < b.close_pos) or (
-                a.open_pos < b.open_pos and b.close_pos < a.close_pos)
+            disjoint = b_close < a_open or a_close < b_open
+            nested = (b_open < a_open and a_close < b_close) or (
+                a_open < b_open and b_close < a_close)
             assert disjoint or nested
-            if b.open_pos < a.open_pos and a.close_pos < b.close_pos:
+            if b_open < a_open and a_close < b_close:
                 enclosing += 1
-        assert a.depth == enclosing
+        assert a_depth == enclosing
 
 
 def _pairs_by_scanning(text):
@@ -168,34 +165,31 @@ def _pairs_by_scanning(text):
     return pairs[::-1]
 
 
-def _check_pair_triples(text):
-    w = parse(text)
-    triples, sites = pair_triples(w), matched_pairs(w)
-    assert all(type(t) is tuple for t in triples)
-    assert all(type(s) is PairSite for s in sites)
-    assert triples == [tuple(s) for s in sites]
-    return triples
+def _check_matched_pairs(text):
+    pairs = matched_pairs(parse(text))
+    assert type(pairs) is list and all(type(p) is tuple for p in pairs)
+    return pairs
 
 
-def test_pair_triples_match_a_scan_of_every_short_word(words_through):
+def test_matched_pairs_match_a_scan_of_every_short_word(words_through):
     for w in words_through(12):
         for text in (w.text, "0" + w.text, "000" + w.text):
-            assert _check_pair_triples(text) == _pairs_by_scanning(text)
+            assert _check_matched_pairs(text) == _pairs_by_scanning(text)
 
 
 @settings(deadline=None, max_examples=30)
 @given(canonical_texts(), st.integers(min_value=0, max_value=3))
-def test_pair_triples_of_long_words_are_the_named_pairs(text, zeros):
+def test_matched_pairs_of_long_words_match_a_scan(text, zeros):
     padded = "0" * zeros + text
-    assert _check_pair_triples(padded) == _pairs_by_scanning(padded)
+    assert _check_matched_pairs(padded) == _pairs_by_scanning(padded)
 
 
 def test_closing_room_bounds_depth(words_through):
     # a pair at depth d needs at least d more ')' after its own
     for w in words_through(12):
         length = len(w)
-        for site in matched_pairs(w):
-            assert length - site.close_pos + 1 >= site.depth + 1
+        for _, close, depth in matched_pairs(w):
+            assert length - close + 1 >= depth + 1
 
 
 def test_prime_segments_worked_examples():
@@ -309,8 +303,8 @@ def test_the_unchecked_constructor_is_no_public_function():
     public = {name for name, obj in vars(word_model).items()
               if inspect.isfunction(obj) and obj.__module__ == word_model.__name__
               and not name.startswith("_")}
-    assert public == {"parse", "is_umw", "pair_triples", "matched_pairs", "prime_segments",
-                      "compare_lex", "strip_leading_zeros"}
+    assert public == {"parse", "is_umw", "matched_pairs", "prime_segments", "compare_lex",
+                      "strip_leading_zeros"}
 
 
 def test_unpickling_checks_the_text_again():
@@ -335,8 +329,8 @@ def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(empty_st
     assert stored == ((1, 12, 0), (2, 5, 1), (7, 11, 1), (9, 10, 2))
     # later calls copy the stored pairs instead of matching the text again
     word_model._store[w.text][1] = planted = ((1, 12, 0),)
-    assert pair_triples(w) == [(1, 12, 0)]
-    assert pair_triples(Word(w.text)) == [(1, 12, 0)]  # the text decides, not the object
+    assert matched_pairs(w) == [(1, 12, 0)]
+    assert matched_pairs(Word(w.text)) == [(1, 12, 0)]  # the text decides, not the object
     assert word_model._store[w.text][1] is planted
     assert checked == ["((00)0(0()))", "((00)0(0()))"]
 
@@ -344,11 +338,11 @@ def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(empty_st
 def test_mutating_the_pairs_returned_changes_no_later_answer(empty_store):
     w = parse("(0())0")
     for _ in range(3):
-        pairs = pair_triples(w)
+        pairs = matched_pairs(w)
         assert pairs == [(1, 5, 0), (3, 4, 1)]
         pairs[0] = None
         pairs.append((9, 9, 9))
-    assert [tuple(site) for site in matched_pairs(w)] == [(1, 5, 0), (3, 4, 1)]
+    assert matched_pairs(w) == [(1, 5, 0), (3, 4, 1)]
     assert weights.decompose(w).total == 28
 
 
@@ -365,10 +359,38 @@ def test_the_store_holds_at_most_eight_texts(empty_store):
     sizes = []
     for n in range(1000):
         text = "(" + "0" * n + ")"
-        assert pair_triples(parse(text)) == [(1, n + 2, 0)]
+        assert matched_pairs(parse(text)) == [(1, n + 2, 0)]
         sizes.append(len(word_model._store))
     assert max(sizes) == word_model._STORE_SIZE == 8
     assert word_model._store[text][0].text == text
+
+
+@pytest.mark.parametrize("bound", [65_536, 12])
+def test_a_text_past_the_length_bound_is_checked_and_matched_on_every_call(
+        empty_store, monkeypatch, bound):
+    # The real bound for the store, and a small one to check ranks past it too.
+    # Only small values are compared: a failing comparison of the store itself
+    # would have pytest pretty-print tens of thousands of pairs.
+    assert word_model._STORE_MAX_LENGTH == 65_536
+    monkeypatch.setattr(word_model, "_STORE_MAX_LENGTH", bound)
+    checked = []
+    check = Word.__post_init__
+    monkeypatch.setattr(Word, "__post_init__",
+                        lambda self: checked.append(len(self.text)) or check(self))
+    rng = random.Random(bound)
+    at, past = (canonical_text(rng.randbytes(n)) for n in (bound, bound + 1))
+    stored, pairs = parse(at), tuple(_pairs_by_scanning(at))
+    assert tuple(matched_pairs(stored)) == pairs
+    entry = word_model._store[at]
+    assert len(word_model._store) == 1 and entry[0] is stored and entry[1] == pairs
+    for _ in range(2):
+        w = parse(past)
+        assert matched_pairs(w) == _pairs_by_scanning(past)
+        if bound < 1000:  # a rank at 65 537 symbols would grow column 0 to about 400 MB
+            assert weights.rank(w) == oracle.rank_by_counting(w)
+        assert len(word_model._store) == 1 and word_model._store[at] is entry
+        assert entry[0] is stored and entry[1] == pairs
+    assert checked == [bound, bound + 1, bound + 1]
 
 
 def test_words_built_without_parse_are_never_stored(empty_store):
@@ -393,7 +415,7 @@ def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_o
     jobs = [shared + [canonical_text(rng.randbytes(rng.randrange(20, 160))) for _ in range(6)]
             for _ in range(8)]
     texts = {text for job in jobs for text in job}
-    expected = {text: (oracle.rank_by_counting(Word(text)), pair_triples(Word(text)))
+    expected = {text: (oracle.rank_by_counting(Word(text)), matched_pairs(Word(text)))
                 for text in texts}
     results, sizes, errors = [], [], []
 
@@ -404,7 +426,7 @@ def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_o
                     w = parse(text)
                     sizes.append(len(word_model._store))
                     results.append((text, w.text, weights.rank(w), weights.decompose(w).total,
-                                    pair_triples(w)))
+                                    matched_pairs(w)))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
