@@ -13,22 +13,24 @@ Only `Word._balanced` skips the check, for two outputs known to balance.
 
 `matched_pairs` is the pair matcher: plain (open, close, depth) tuples.
 
-`parse` keeps the last texts it read, at most `_STORE_SIZE` (8), each with
-the `Word` built for it and, once `matched_pairs` is first asked for that
-text, its pairs as a tuple; the store is emptied when full.  So a word
-parsed again is neither checked nor matched again: `parse` returns the
-stored `Word`, and `matched_pairs` a fresh list of the stored pairs.  Nothing
-else is stored: not a text that fails the check, not a text longer than
-`_STORE_MAX_LENGTH` (65 536) symbols, which bounds the pairs kept to about
-32 MiB, and not a `Word` built another way (`Word()`, `unrank`,
-`padd`/`psub`, `compose`, the oracle's enumeration), which `matched_pairs`
-matches on each call unless its text is in the store.
+`parse` remembers the last text it read, with the `Word` built for it and,
+once `matched_pairs` is first asked for that text, its pairs as a tuple.  So
+a word parsed again straight away, as in `rank(parse(t))` then
+`decompose(parse(t))`, is neither checked nor matched again: `parse` returns
+the remembered `Word`, and `matched_pairs` a fresh list of the remembered
+pairs.  Nothing else is remembered: not a text that fails the check, not a
+text longer than `_STORE_MAX_LENGTH` (65 536) symbols, which bounds the
+pairs kept to about 4 MiB, and not a `Word` built another way (`Word()`,
+`unrank`, `padd`/`psub`, `compose`, the oracle's enumeration), which
+`matched_pairs` matches on each call unless its text is the remembered one.
+The three are one tuple, consistent on its own, which is rebound and never
+changed, so a thread that reads it once needs no lock; a racing
+`matched_pairs` may put back an older text, which only costs a later miss.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from threading import Lock
 from typing import NamedTuple
 
 from .errors import EmptyInputError, IllegalCharacterError, UnbalancedError
@@ -41,11 +43,11 @@ _SYMBOL_ORDER = str.maketrans(ZERO + OPEN + CLOSE, "012")
 _STEP = {ZERO: 0, OPEN: 1, CLOSE: -1}
 _NOT_SYMBOLS = str.maketrans("", "", ZERO + OPEN + CLOSE)
 
-# text -> [its Word, its pairs as a tuple or None until first matched]
-_STORE_SIZE = 8
 _STORE_MAX_LENGTH = 65_536
-_store: dict[str, list] = {}
-_store_lock = Lock()  # keeps the emptying and the insertion together, so the bound holds
+# (the text parsed last, its Word, its pairs as a tuple or None until first
+# matched); before any parse its text is a fresh object, which neither a str nor
+# None equals, so parse(None) still raises
+_last: tuple = (object(), None, None)
 
 
 class Word:
@@ -117,18 +119,16 @@ class PrimeSegment(NamedTuple):
 def parse(text: str) -> Word:
     """Validate a character string and return it as a Word.
 
-    A text of at most `_STORE_MAX_LENGTH` symbols among the last `_STORE_SIZE`
-    parsed returns the same Word, unchecked.
+    The text parsed last, if it has at most `_STORE_MAX_LENGTH` symbols,
+    returns the same Word, unchecked.
     """
-    entry = _store.get(text)
-    if entry is not None:
-        return entry[0]
+    global _last
+    last = _last
+    if text == last[0]:
+        return last[1]
     w = Word(text)
     if len(text) <= _STORE_MAX_LENGTH:
-        with _store_lock:
-            if len(_store) >= _STORE_SIZE:
-                _store.clear()
-            _store[text] = [w, None]
+        _last = (text, w, None)
     return w
 
 
@@ -142,23 +142,24 @@ def matched_pairs(w: Word) -> list[tuple[int, int, int]]:
 
     Pairs come in opening-bracket order.  Each '(' holds its slot with its
     position until its ')' writes the triple there; depth counts the strictly
-    enclosing pairs, so a top-level pair has depth 0.  The pairs of a text in
-    `parse`'s store are matched once and copied on later calls.
+    enclosing pairs, so a top-level pair has depth 0.  The pairs of the text
+    `parse` read last are matched once and copied on later calls.
     """
-    entry = _store.get(w.text)
-    if entry is not None and entry[1] is not None:
-        return list(entry[1])
+    global _last
+    last, text = _last, w.text
+    if text == last[0] and last[2] is not None:
+        return list(last[2])
     sites: list = []
     stack: list[int] = []
-    for pos, char in enumerate(w.text, start=1):
+    for pos, char in enumerate(text, start=1):
         if char == OPEN:
             stack.append(len(sites))
             sites.append(pos)
         elif char == CLOSE:
             slot = stack.pop()
             sites[slot] = (sites[slot], pos, len(stack))
-    if entry is not None:
-        entry[1] = tuple(sites)
+    if text == last[0]:
+        _last = (last[0], last[1], tuple(sites))
     return sites
 
 

@@ -25,9 +25,9 @@ def empty_table(monkeypatch):
 
 @pytest.fixture
 def empty_store(monkeypatch):
-    """`parse`'s store of recent texts as a fresh process starts it, for tests
+    """`parse`'s remembered text as a fresh process starts it (none), for tests
     that count checks or matchings; the old one comes back after."""
-    monkeypatch.setattr(word_model, "_store", {})
+    monkeypatch.setattr(word_model, "_last", (object(), None, None))
 
 
 @pytest.fixture

@@ -5,11 +5,13 @@
 `pair_arith` import `matched_pairs`, the one pair matcher, by name, on the
 table path every pair weight goes through the global name
 `pair_nest_weight` (a walked word, one too deep for its length's column cap,
-makes no such call), and `pair_arith` has exactly two public functions.  Two
-of its checks run here in-process, so a change that breaks the contract
-fails the unit tests, not only the benchmark's own smoke run.  A third
-checks that `rank` and `decompose` match a word's pairs through the rebound
-name, so the matcher the tracer times is the one every weight is read from.
+makes no such call), and one `padd` and one `psub` count exactly two
+`pair_arith` calls, so neither calls another public `pair_arith` function
+through a name the tracer rebinds.  Two of its checks run here in-process,
+so a change that breaks the contract fails the unit tests, not only the
+benchmark's own smoke run.  A third checks that `rank` and `decompose`
+match a word's pairs through the rebound name, so the matcher the tracer
+times is the one every weight is read from.
 """
 
 import importlib

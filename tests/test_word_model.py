@@ -1,10 +1,13 @@
 import copy
 import inspect
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +23,16 @@ from motzkin.word_model import (
     prime_segments,
     strip_leading_zeros,
 )
-from motzkin.errors import EmptyInputError, IllegalCharacterError, UnbalancedError
+from motzkin.errors import (
+    EmptyInputError,
+    IllegalCharacterError,
+    NotTopLevelError,
+    UnbalancedError,
+)
 
 from long_words import canonical_text, canonical_texts
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @st.composite
@@ -313,26 +323,82 @@ def test_unpickling_checks_the_text_again():
         pickle.loads(forged)
 
 
-# `parse`'s store of recent texts
+# the text `parse` read last, remembered with its `Word` and pairs
 
 
-def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(empty_store, monkeypatch):
+def test_none_and_the_empty_text_raise_before_and_after_any_parse():
+    # before any parse there is no remembered text, and no argument may read as one
+    script = ("from motzkin import parse\n"
+              "from motzkin.errors import EmptyInputError\n"
+              "for text in (None, '', '(0)', None, ''):\n"
+              "    try:\n"
+              "        w = parse(text)\n"
+              "    except EmptyInputError:\n"
+              "        print('empty')\n"
+              "    else:\n"
+              "        print(w.text)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["empty", "empty", "(0)", "empty", "empty"]
+
+
+def _count_checks(monkeypatch):
     checked = []
     check = Word.__post_init__
     monkeypatch.setattr(Word, "__post_init__", lambda self: checked.append(self.text) or check(self))
+    return checked
+
+
+def _plant_pairs(planted):
+    """Replace the remembered pairs, so a later answer shows whether they were read."""
+    text, w, pairs = word_model._last
+    assert pairs == tuple(_pairs_by_scanning(text))
+    word_model._last = (text, w, planted)
+
+
+def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(empty_store, monkeypatch):
+    checked = _count_checks(monkeypatch)
     w = parse("((00)0(0()))")
     assert parse("((00)0(0()))") is w
     assert checked == ["((00)0(0()))"]
-    assert word_model._store[w.text] == [w, None]
+    assert word_model._last == (w.text, w, None)
     assert weights.rank(w) == 9763
-    stored = word_model._store[w.text][1]
+    stored = word_model._last[2]
     assert stored == ((1, 12, 0), (2, 5, 1), (7, 11, 1), (9, 10, 2))
-    # later calls copy the stored pairs instead of matching the text again
-    word_model._store[w.text][1] = planted = ((1, 12, 0),)
+    # later calls copy the remembered pairs instead of matching the text again
+    planted = ((1, 12, 0),)
+    word_model._last = (w.text, w, planted)
     assert matched_pairs(w) == [(1, 12, 0)]
     assert matched_pairs(Word(w.text)) == [(1, 12, 0)]  # the text decides, not the object
-    assert word_model._store[w.text][1] is planted
+    assert word_model._last[2] is planted
     assert checked == ["((00)0(0()))", "((00)0(0()))"]
+
+
+def test_rank_unrank_decompose_checks_and_matches_the_text_once(empty_store, monkeypatch):
+    # the order of the benchmark's word items: rank(parse(t)), unrank(r), decompose(parse(t))
+    checked = _count_checks(monkeypatch)
+    t = "((00)0(0()))"
+    r = weights.rank(parse(t))
+    assert weights.unrank(r).text == t
+    _plant_pairs(((1, 12, 0),))
+    d = weights.decompose(parse(t))
+    assert [(e.n, e.k, e.depth) for e in d.entries] == [(12, 1, 0)]  # the planted pair alone
+    assert checked == [t]
+
+
+def test_padd_then_psub_checks_and_matches_the_right_operand_once(empty_store, monkeypatch):
+    # the order of the benchmark's pair items: padd(parse(x), parse(y)), psub(z, parse(y))
+    checked = _count_checks(monkeypatch)
+    x, y = "(0)0000", "(())"
+    z = padd(parse(x), parse(y))
+    assert z.text == "(0)(())"
+    assert word_model._last[0] == y
+    # a planted inner pair at depth 0 is no top-level block of z, so psub refuses it
+    _plant_pairs(((2, 3, 0),))
+    with pytest.raises(NotTopLevelError, match=r"\(5, 6\)"):
+        psub(z, parse(y))
+    assert checked == [x, y]
 
 
 def test_mutating_the_pairs_returned_changes_no_later_answer(empty_store):
@@ -349,27 +415,27 @@ def test_mutating_the_pairs_returned_changes_no_later_answer(empty_store):
 @pytest.mark.parametrize("text, error", [
     ("", EmptyInputError), ("(()", UnbalancedError), ("(x)", IllegalCharacterError)])
 def test_a_failing_text_raises_on_every_parse_and_is_never_stored(empty_store, text, error):
+    empty = word_model._last
     for _ in range(3):
         with pytest.raises(error):
             parse(text)
-    assert word_model._store == {}
+    assert word_model._last is empty
 
 
-def test_the_store_holds_at_most_eight_texts(empty_store):
-    sizes = []
+def test_only_the_last_text_is_remembered(empty_store):
     for n in range(1000):
         text = "(" + "0" * n + ")"
-        assert matched_pairs(parse(text)) == [(1, n + 2, 0)]
-        sizes.append(len(word_model._store))
-    assert max(sizes) == word_model._STORE_SIZE == 8
-    assert word_model._store[text][0].text == text
+        w = parse(text)
+        assert matched_pairs(w) == [(1, n + 2, 0)]
+        assert word_model._last == (text, w, ((1, n + 2, 0),))
+    assert word_model._last[0] is text
 
 
 @pytest.mark.parametrize("bound", [65_536, 12])
 def test_a_text_past_the_length_bound_is_checked_and_matched_on_every_call(
         empty_store, monkeypatch, bound):
-    # The real bound for the store, and a small one to check ranks past it too.
-    # Only small values are compared: a failing comparison of the store itself
+    # The real bound, and a small one to check ranks past it too.  Only small
+    # values are compared: a failing comparison of the remembered tuple itself
     # would have pytest pretty-print tens of thousands of pairs.
     assert word_model._STORE_MAX_LENGTH == 65_536
     monkeypatch.setattr(word_model, "_STORE_MAX_LENGTH", bound)
@@ -381,15 +447,15 @@ def test_a_text_past_the_length_bound_is_checked_and_matched_on_every_call(
     at, past = (canonical_text(rng.randbytes(n)) for n in (bound, bound + 1))
     stored, pairs = parse(at), tuple(_pairs_by_scanning(at))
     assert tuple(matched_pairs(stored)) == pairs
-    entry = word_model._store[at]
-    assert len(word_model._store) == 1 and entry[0] is stored and entry[1] == pairs
+    entry = word_model._last
+    assert entry[0] is at and entry[1] is stored and entry[2] == pairs
     for _ in range(2):
         w = parse(past)
         assert matched_pairs(w) == _pairs_by_scanning(past)
         if bound < 1000:  # a rank at 65 537 symbols would grow column 0 to about 400 MB
             assert weights.rank(w) == oracle.rank_by_counting(w)
-        assert len(word_model._store) == 1 and word_model._store[at] is entry
-        assert entry[0] is stored and entry[1] == pairs
+        assert word_model._last is entry
+        assert entry[1] is stored and entry[2] == pairs
     assert checked == [bound, bound + 1, bound + 1]
 
 
@@ -397,7 +463,7 @@ def test_words_built_without_parse_are_never_stored(empty_store):
     weighed = parse("(0)")
     assert weights.rank(weighed) == 2
     parse("(" * 30 + ")" * 30)
-    before = {text: list(entry) for text, entry in word_model._store.items()}
+    before = word_model._last
     assert all(result.passed for result in checks.run_checks(10))
     x = Word("(0)00")
     z = padd(x, Word("()"))
@@ -405,7 +471,7 @@ def test_words_built_without_parse_are_never_stored(empty_store):
              *(segment.word for segment in prime_segments(z))]
     for w in built:
         weights.decompose(strip_leading_zeros(w))
-    assert word_model._store == before
+    assert word_model._last is before
 
 
 def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_oracle(
@@ -417,16 +483,17 @@ def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_o
     texts = {text for job in jobs for text in job}
     expected = {text: (oracle.rank_by_counting(Word(text)), matched_pairs(Word(text)))
                 for text in texts}
-    results, sizes, errors = [], [], []
+    results, seen, errors = [], [], []
 
     def work(job):
         try:
             for _ in range(3):
                 for text in job:
                     w = parse(text)
-                    sizes.append(len(word_model._store))
+                    seen.append(word_model._last)
                     results.append((text, w.text, weights.rank(w), weights.decompose(w).total,
                                     matched_pairs(w)))
+                    seen.append(word_model._last)
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -447,4 +514,8 @@ def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_o
         assert parsed == text
         assert (ranked, pairs) == expected[text]
         assert total == ranked
-    assert max(sizes) <= word_model._STORE_SIZE
+    # every remembered tuple a thread saw is whole: its Word and its pairs, if any, are its text's
+    assert len(seen) == 2 * len(results)
+    for text, w, pairs in seen:
+        assert type(w) is Word and w.text == text
+        assert pairs is None or list(pairs) == expected[text][1]
