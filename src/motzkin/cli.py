@@ -9,7 +9,12 @@ failed `verify` among them) or a `MemoryError` becomes one `error:` line on
 stderr and exit 1, a closed stdout pipe exits 1 silently, and Ctrl-C prints
 `error: interrupted` and exits 130.  That holds from the import of this
 module by `python -m motzkin` on, argument parsing included; a Ctrl-C
-during interpreter start-up or the package's own import is Python's."""
+during interpreter start-up or the package's own import is Python's.
+
+An error line shows an argument the way every message of the package does,
+through `errors.shown`: in full up to 80 characters, named past that.  So
+an integer argument is read only up to that length (`MAX_INTEGER_CHARS`),
+except the `unrank` index, which has its own bound."""
 
 from __future__ import annotations
 
@@ -19,7 +24,8 @@ import os
 import sys
 
 from . import checks, oracle, pair_arith, sequences, weights, word_model
-from .errors import MotzkinError
+# The longest text of an integer argument is the longest value a message shows.
+from .errors import MAX_SHOWN_CHARS as MAX_INTEGER_CHARS, MotzkinError, shown
 from .weights import MAX_COMPOSE_LENGTH
 
 # Table cell for derivative orders a pair cannot reach (k <= s).
@@ -30,8 +36,6 @@ DASH = "–"
 MAX_SEQ_UPTO = 10_000
 MAX_TABLE_N = 300
 
-# Longest text of an integer argument, and the longest an error echoes.
-MAX_INTEGER_CHARS = 80
 # Longest `unrank` index: above the ~62 530 digits of M_131071, the largest rank
 # `rank` prints for a word that fits in one Linux argument (131 071 characters).
 MAX_INDEX_DIGITS = 65_536
@@ -44,10 +48,6 @@ _SEQUENCES = {
 }
 
 
-def _echo(text: str, shown: str) -> str:  # longer text is named by its length alone
-    return shown if len(text) <= MAX_INTEGER_CHARS else f"a value of {len(text)} characters"
-
-
 def _integer(maximum: int | None = None, longest: int = MAX_INTEGER_CHARS):
     """The argument type of every integer argument.  Text over `longest`
     characters, or a value over `maximum`, is a usage error."""
@@ -58,9 +58,9 @@ def _integer(maximum: int | None = None, longest: int = MAX_INTEGER_CHARS):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text, repr(text))}")
+            raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"{value} is over the maximum of {maximum}")
+            raise argparse.ArgumentTypeError(f"{shown(value)} is over the maximum of {maximum}")
         return value
     return read
 
@@ -69,7 +69,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
     halves = text.split(",")
     if len(halves) != 2:
         raise argparse.ArgumentTypeError(
-            f"expected open,close positions like 3,7 (got {_echo(text, repr(text))})")
+            f"expected open,close positions like 3,7 (got {shown(text)})")
     return tuple(map(_integer(), halves))
 
 

@@ -1,4 +1,26 @@
-"""Exception types raised by the motzkin package."""
+"""Exception types raised by the motzkin package, and `shown`, the one rule
+for what a message shows of a caller's value.
+
+Ranks, indices and sizes reach the package at any magnitude, and Python
+refuses to write an int of more than 4300 digits by default, so a message
+that formatted such a value would raise a bare `ValueError` instead of its
+own error.  `shown` writes a value in full up to `MAX_SHOWN_CHARS`
+characters and names a longer one without writing it.
+"""
+
+# Longest caller value a message shows in full.
+MAX_SHOWN_CHARS = 80
+
+
+def shown(value) -> str:
+    """`value` as a message shows it: text up to `MAX_SHOWN_CHARS` characters
+    as its repr, longer text by its length; an integer of up to
+    `MAX_SHOWN_CHARS` characters, sign included, in full, a longer one by
+    the bound alone, never through `str()`."""
+    if not isinstance(value, str):
+        fits = -10 ** (MAX_SHOWN_CHARS - 1) < value < 10 ** MAX_SHOWN_CHARS
+        return str(value) if fits else f"an integer of more than {MAX_SHOWN_CHARS} characters"
+    return repr(value) if len(value) <= MAX_SHOWN_CHARS else f"a value of {len(value)} characters"
 
 
 class MotzkinError(ValueError):

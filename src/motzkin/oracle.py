@@ -7,7 +7,7 @@ count recurrence alone.  Pure functions over a grow-only table; safe for
 concurrent readers after a single-threaded warm-up.
 """
 
-from .errors import DomainViolationError, NotCanonicalError, RangeTooLargeError
+from .errors import DomainViolationError, NotCanonicalError, RangeTooLargeError, shown
 from .word_model import CLOSE, OPEN, ZERO, Word, is_umw
 
 # Cumulative word counts grow roughly like 3^n; this keeps exhaustive runs
@@ -24,8 +24,8 @@ def completions(remaining: int, height: int) -> int:
     nonnegative and end at balance zero, starting from balance `height`.
     """
     if remaining < 0 or height < 0:
-        raise DomainViolationError(
-            f"completions requires remaining >= 0 and height >= 0, got ({remaining}, {height})")
+        raise DomainViolationError("completions requires remaining >= 0 and height >= 0, "
+                                   f"got ({shown(remaining)}, {shown(height)})")
     if height > remaining:
         return 0
     while len(_completion_rows) <= remaining:
@@ -51,10 +51,10 @@ def enumerate_range(n: int) -> list[Word]:
     order '0' < '(' < ')', so the output needs no sorting.
     """
     if n < 1:
-        raise DomainViolationError(f"enumerate_range requires n >= 1, got {n}")
+        raise DomainViolationError(f"enumerate_range requires n >= 1, got {shown(n)}")
     if n > MAX_ENUM_LENGTH:
         raise RangeTooLargeError(
-            f"length {n} exceeds the enumeration guard of {MAX_ENUM_LENGTH}")
+            f"length {shown(n)} exceeds the enumeration guard of {MAX_ENUM_LENGTH}")
     if n == 1:
         return [Word(ZERO)]
 
@@ -88,7 +88,7 @@ def rank_by_counting(w: Word) -> int:
     is counted through the completion table.  No weight formulas involved.
     """
     if not is_umw(w):
-        raise NotCanonicalError(f"{w.text!r} is not canonical")
+        raise NotCanonicalError(f"{shown(w.text)} is not canonical")
     text = w.text
     if text == ZERO:
         return 0

@@ -39,7 +39,7 @@ starts at row n - 1, height 0, from (M_{n-1}, M_n - M_{n-1}) out of column 0.
 
 from itertools import repeat
 
-from .errors import DomainViolationError
+from .errors import DomainViolationError, shown
 
 _columns: list[list[int]] = [[1, 1]]
 
@@ -47,8 +47,8 @@ _columns: list[list[int]] = [[1, 1]]
 def completions(remaining: int, height: int) -> int:
     """C(remaining, height): suffixes of length `remaining` that close `height` opens."""
     if remaining < 0 or height < 0:
-        raise DomainViolationError(
-            f"completions requires remaining >= 0 and height >= 0, got ({remaining}, {height})")
+        raise DomainViolationError("completions requires remaining >= 0 and height >= 0, "
+                                   f"got ({shown(remaining)}, {shown(height)})")
     if height >= remaining:  # nothing to grow: one all-')' suffix on the diagonal, none above
         return int(height == remaining)
     try:
@@ -104,7 +104,7 @@ def unique_count(n: int) -> int:
     removes the words inherited from length n-1 by a leading zero.
     """
     if n < 1:
-        raise DomainViolationError(f"unique_count requires n >= 1, got {n}")
+        raise DomainViolationError(f"unique_count requires n >= 1, got {shown(n)}")
     if n == 1:
         return 1
     return motzkin_number(n) - motzkin_number(n - 1)
@@ -113,12 +113,12 @@ def unique_count(n: int) -> int:
 def delta(k: int) -> int:
     """Offset added to M_{n-1} in the plain pair weight: U_{k+1} - M_{k-1}."""
     if k < 1:
-        raise DomainViolationError(f"delta requires k >= 1, got {k}")
+        raise DomainViolationError(f"delta requires k >= 1, got {shown(k)}")
     return unique_count(k + 1) - motzkin_number(k - 1)
 
 
 def delta_prime(k: int) -> int:
     """Offset added to U_n in first-order nest-weights: M_{k+2} - 2M_{k+1} - U_k."""
     if k < 2:
-        raise DomainViolationError(f"delta_prime requires k >= 2, got {k}")
+        raise DomainViolationError(f"delta_prime requires k >= 2, got {shown(k)}")
     return motzkin_number(k + 2) - 2 * motzkin_number(k + 1) - unique_count(k)

@@ -42,11 +42,14 @@ each for a word of length L, so `_WALK_BUDGET_BITS` bounds the band either
 call grows; column 0 is still grown to row L.  `_cap` alone picks the walk.
 Words under 478 symbols cannot reach it, as n // 2 + 1 < `_cap(n)` there, so
 `_weigh` skips their depth scan.
+
+An index, a size or a word of any length may come in, so every error message
+shows the caller's value through `errors.shown`, which names a value of more
+than 80 characters instead of writing it.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -59,6 +62,7 @@ from .errors import (
     OverlapError,
     PositionConflictError,
     RangeTooLargeError,
+    shown,
 )
 from .word_model import CLOSE, OPEN, ZERO, Word, is_umw, matched_pairs
 
@@ -89,8 +93,8 @@ def pair_nest_weight(n: int, k: int, s: int) -> int:
     after it).
     """
     if s < 0 or not n > k > s:
-        raise DomainViolationError(
-            f"nest weight requires n > k > s >= 0, got n={n} k={k} s={s}")
+        raise DomainViolationError("nest weight requires n > k > s >= 0, "
+                                   f"got n={shown(n)} k={shown(k)} s={shown(s)}")
     columns = sequences._columns
     try:
         return columns[s][n - 1] + columns[s + 1][k - 1] + columns[s + 2][k - 1]
@@ -102,14 +106,15 @@ def pair_nest_weight(n: int, k: int, s: int) -> int:
 def pair_catalog_index(n: int, k: int) -> int:
     """1-based index of the (n, k) pair in the catalog of all prime pairs."""
     if not n > k >= 1:
-        raise DomainViolationError(f"catalog index requires n > k >= 1, got n={n} k={k}")
+        raise DomainViolationError(
+            f"catalog index requires n > k >= 1, got n={shown(n)} k={shown(k)}")
     return k + (n - 1) * (n - 2) // 2
 
 
 def prime_pair_word(n: int, k: int) -> Word:
     """The word (0^{n-k-1})0^{k-1} of size n."""
     if not n > k >= 1:
-        raise DomainViolationError(f"prime pair requires n > k >= 1, got n={n} k={k}")
+        raise DomainViolationError(f"prime pair requires n > k >= 1, got n={shown(n)} k={shown(k)}")
     return Word(OPEN + ZERO * (n - k - 1) + CLOSE + ZERO * (k - 1))
 
 
@@ -127,7 +132,7 @@ def range_extrema(n: int) -> RangeExtrema:
     repeated floor(n/2) times, with a final 0 when n is odd, at M_n - 1.
     """
     if n < 1:
-        raise DomainViolationError(f"range_extrema requires n >= 1, got {n}")
+        raise DomainViolationError(f"range_extrema requires n >= 1, got {shown(n)}")
     if n == 1:
         zero = Word(ZERO)
         return RangeExtrema(zero, 0, zero, 0)
@@ -140,7 +145,7 @@ def range_extrema(n: int) -> RangeExtrema:
 def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """The weighing pass of `rank` and `decompose`: (len + 1, pair triples, weights)."""
     if not is_umw(w):
-        raise NotCanonicalError(f"{w.text!r} is not canonical; strip leading zeros first")
+        raise NotCanonicalError(f"{shown(w.text)} is not canonical; strip leading zeros first")
     end = len(w.text) + 1
     triples = matched_pairs(w)
     cap = _cap(end - 1)
@@ -198,9 +203,8 @@ def unrank(i: int) -> Word:
     holds row left + 1 since its own first read.  A walk that does not end
     at offset 0 and height 0 means an inconsistent table.
     """
-    if i < 0:  # echo at most 80 characters, as the CLI does
-        shown = str(i) if i > -10**79 else f"a negative one of {_digit_count(-i)} digits"
-        raise DomainViolationError(f"unrank requires a nonnegative index, got {shown}")
+    if i < 0:
+        raise DomainViolationError(f"unrank requires a nonnegative index, got {shown(i)}")
     # M_n < 3^n, so the answer exceeds log_3 i >= floor(log2 i) / 1.59
     n = max(1, (i.bit_length() - 1) * 100 // 159)
     while sequences.motzkin_number(n) <= i:
@@ -234,17 +238,9 @@ def unrank(i: int) -> Word:
             if height < 0:  # only an inconsistent table gets here; reported below
                 break
     if offset or height:
-        raise MotzkinError(f"unrank({i}) left offset {offset} at height {height}; "
+        raise MotzkinError(f"unrank({shown(i)}) left offset {shown(offset)} at height {height}; "
                            "the completion table is inconsistent")
     return Word._balanced("".join(symbols))
-
-
-def _digit_count(x: int) -> int:
-    """Decimal digits of x > 0, without str(): Python limits that to 4300 digits
-    by default, and it takes quadratic time."""
-    d = int(math.log10(x)) + 1  # log10 reads an int of any size, to float precision
-    power = 10 ** (d - 1)
-    return d - 1 if power > x else d + 1 if power * 10 <= x else d
 
 
 def _unrank_walk(symbols: list[str], offset: int, left: int, height: int,
@@ -308,15 +304,16 @@ def compose(length: int, sites: Iterable[tuple[int, int]]) -> Word:
     refused before anything is built.
     """
     if length < 1:
-        raise DomainViolationError(f"compose requires length >= 1, got {length}")
+        raise DomainViolationError(f"compose requires length >= 1, got {shown(length)}")
     if length > MAX_COMPOSE_LENGTH:
         raise RangeTooLargeError(
-            f"compose length {length} is over the maximum of {MAX_COMPOSE_LENGTH}")
+            f"compose length {shown(length)} is over the maximum of {MAX_COMPOSE_LENGTH}")
     spans = [(a, b) for a, b in sites]
     chars = [ZERO] * length
     for a, b in spans:
         if not (1 <= a <= length and 1 <= b <= length):
-            raise DomainViolationError(f"span ({a}, {b}) falls outside 1..{length}")
+            raise DomainViolationError(
+                f"span ({shown(a)}, {shown(b)}) falls outside 1..{shown(length)}")
         if a >= b:
             raise DomainViolationError(f"span ({a}, {b}) must open before it closes")
         for pos, char in ((a, OPEN), (b, CLOSE)):

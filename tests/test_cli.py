@@ -225,21 +225,32 @@ def test_unrank_index_past_the_int_str_limit_names_the_limit(capsys):
     assert "77" not in err
 
 
+_NAMED = "an integer of more than 80 characters"
+
+
 @pytest.mark.parametrize("index, shown", [
     ("-1", "-1"),
     ("-" + "7" * 79, "-" + "7" * 79),
-    ("-" + "7" * 80, "a negative one of 80 digits"),
-    ("-1" + "0" * 79, "a negative one of 80 digits"),
+    ("-" + "7" * 80, _NAMED),
+    ("-1" + "0" * 79, _NAMED),
     ("-" + "9" * 79, "-" + "9" * 79),
-    ("-" + "9" * 80, "a negative one of 80 digits"),
-    ("-" + "9" * 4400, "a negative one of 4400 digits"),
-    ("-" + "7" * (cli.MAX_INDEX_DIGITS - 1), f"a negative one of {cli.MAX_INDEX_DIGITS - 1} digits"),
+    ("-" + "9" * 80, _NAMED),
+    ("-" + "9" * 4400, _NAMED),
+    ("-" + "7" * (cli.MAX_INDEX_DIGITS - 1), _NAMED),
 ])
 def test_a_negative_index_is_echoed_only_up_to_80_characters(capsys, index, shown):
     code, out, err = run(capsys, "unrank", index)
     assert (code, out) == (1, "")
     assert err == f"error: unrank requires a nonnegative index, got {shown}\n"
     assert len(err.encode()) < 400
+
+
+@pytest.mark.parametrize("command", ["rank", "decompose"])
+def test_a_long_non_canonical_word_is_named_by_its_length(capsys, command):
+    code, out, err = run(capsys, command, "0" + "()" * 5000)
+    assert (code, out) == (1, "")
+    assert err == "error: a value of 10001 characters is not canonical; strip leading zeros first\n"
+    assert len(err.encode()) < 200
 
 
 _LONG = "7" * 5000
