@@ -34,7 +34,9 @@ how to read C(r, h):
 - A word whose deepest read column, its greatest pair depth + 2, is at least
   `_cap` of its length is walked instead: `sequences._step` carries
   (C(left, h), C(left, h+1)) along the word, and each pair's weight is its
-  term at '(' plus its term at ')'.  No column above 0 is read or grown.
+  term at '(' plus its term at ')'.  The one pass writes each weight in
+  place, opening its slot at '(' and adding to it at ')', so it holds no
+  term per symbol.  No column above 0 is read or grown.
 
 `unrank` reads the table until its walk first needs column `_cap(n)`, and
 walks the rest of the word from there.  Columns hold about 0.79 L^2 bits
@@ -151,29 +153,35 @@ def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     cap = _cap(end - 1)
     # No pair sits deeper than (end - 1) // 2 - 1, so most words skip the depth scan.
     if (end - 1) // 2 + 1 >= cap and max(map(itemgetter(2), triples), default=0) + 2 >= cap:
-        return end, triples, _walked_weights(w.text, triples)
+        return end, triples, _walked_weights(w.text)
     return end, triples, [pair_nest_weight(end - a, end - b, depth) for a, b, depth in triples]
 
 
-def _walked_weights(text: str, triples: list[tuple[int, int, int]]) -> list[int]:
-    """The pairs' nest-weights read off the word's lattice path, without the table.
+def _walked_weights(text: str) -> list[int]:
+    """The pairs' nest-weights in opening order, read off the word's lattice
+    path in one pass, without the table.
 
-    The count term of each symbol comes from the walk state (C(left, h),
-    C(left, h+1)), which starts at (M_{n-1}, M_n - M_{n-1}).  The last symbol
-    sits at row 0, where every term is 0, so the walk stops before it.
+    The count term of each bracket comes from the walk state (C(left, h),
+    C(left, h+1)), which starts at (M_{n-1}, M_n - M_{n-1}).  A '(' appends
+    its term C(left, h) as its pair's weight and pushes that slot; a ')' adds
+    its term C(left, h) + C(left, h+1) to the slot it pops.  So the walk holds
+    its state, the open slots and the weights, and nothing per symbol.  The
+    last symbol sits at row 0, where every term is 0, so the walk stops
+    before it.
     """
     n = len(text)
     a = sequences.motzkin_number(n - 1)
     b = sequences.motzkin_number(n) - a
-    terms, height, step = [0] * n, 0, sequences._step
-    for pos, left in enumerate(range(n - 1, 0, -1)):
-        char = text[pos]
+    weights, opened, step = [], [], sequences._step
+    for char, left in zip(text, range(n - 1, 0, -1)):
         rise = (char == OPEN) - (char == CLOSE)
-        if rise:
-            terms[pos] = a if rise > 0 else a + b
-        a, b = step(left, height, a, b, rise)
-        height += rise
-    return [terms[x - 1] + terms[y - 1] for x, y, _ in triples]
+        if rise > 0:
+            opened.append(len(weights))
+            weights.append(a)
+        elif rise:
+            weights[opened.pop()] += a + b
+        a, b = step(left, len(opened) - rise, a, b, rise)  # the height before this symbol
+    return weights
 
 
 def rank(w: Word) -> int:

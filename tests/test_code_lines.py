@@ -1,0 +1,24 @@
+"""The rules of `code_lines`, the counter of the package's tracked code lines,
+pinned on small sources (no total is pinned: it moves with the code)."""
+
+import pytest
+
+from code_lines import code_lines
+
+
+@pytest.mark.parametrize("source, count", [
+    ("x = 1\n\n\ny = 2\n", 2),  # blank lines
+    ("# a comment\nx = 1  # a trailing one\n    # an indented one\n", 1),
+    ('"""The module docstring,\n\nover three lines."""\nx = 1\n', 1),
+    ('def f():\n    """Its docstring."""\n    return 1\n', 2),
+    ('class A:\n    """Its\n    docstring."""\n\n    async def f(self):\n'
+     '        """Its docstring."""\n', 2),
+    ('def f(): """a docstring on the def line"""\n', 1),
+    ('x = 1\n"""A string after the first statement is code."""\n', 2),
+    ('def f():\n    x = 1\n    """Nor is this a docstring."""\n', 3),
+    ('text = """a string\n\nof three lines"""\n', 3),  # its blank line too
+    ("x = f(1,\n      # a comment inside\n\n      2,\n)\n", 3),  # every line of a statement
+    ("x = 1 + \\\n    2\n", 2),
+])
+def test_code_lines_counts_statement_lines_and_skips_the_rest(source, count):
+    assert code_lines(source) == count

@@ -67,8 +67,11 @@ def test_walked_long_words_match_the_oracle_and_round_trip(force_cap, text):
     force_cap(0)
     w = Word(text)
     r = rank(w)
-    assert r == decompose(w).total == oracle.rank_by_counting(w)
+    d = decompose(w)
+    assert r == d.total == oracle.rank_by_counting(w)
     assert unrank(r) == w
+    force_cap(math.inf)  # a weight in the wrong slot keeps the total right
+    assert decompose(w).entries == d.entries
 
 
 @pytest.mark.parametrize("cap", [2, 3, 5])
@@ -127,9 +130,17 @@ def test_the_deepest_words_walk_from_478_symbols_on(monkeypatch, empty_table):
             assert 0 not in counts
 
 
+def _run_under(limit, probe):
+    """Runs the probe in a fresh process whose address space is capped at limit bytes."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
 def test_a_deep_word_of_10000_symbols_stays_under_1_gib():
     # The table path would grow about 25 GB of columns for this word.
-    probe = """
+    proc = _run_under(GIB, """
 from motzkin import sequences, weights
 from motzkin.word_model import Word
 
@@ -140,10 +151,23 @@ assert d.total == r and len(d.entries) == 5000
 assert sequences.motzkin_number(9999) <= r < sequences.motzkin_number(10000)
 assert weights.unrank(r) == w
 print(len(sequences._columns))
-"""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=60,
-                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (GIB, GIB)))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+def test_a_flat_word_of_40000_symbols_walks_under_350_mb():
+    # Column 0 holds about 176 MB here and the weights about 80 MB; a term
+    # kept per symbol, as much again as column 0, would not fit.
+    proc = _run_under(350 << 20, """
+from motzkin import sequences, weights
+from motzkin.word_model import Word
+
+w = Word("()" * 20000)
+r = weights.rank(w)
+d = weights.decompose(w)
+assert d.total == r and len(d.entries) == 20000
+print(len(sequences._columns))
+""")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
