@@ -15,10 +15,10 @@ h only through row r + H - h.  A growth call slices only the new rows out
 of the columns below, so its cost is proportional to the rows it adds.
 Columns only grow, by slice stores at their own rows, so threads growing
 the table at once never shift or duplicate an entry.  A stored entry is
-final, so `weights` reads `_columns` directly on its hot paths.  Two callers
-grow the table: `completions` on a miss (for `motzkin_number` and for
-`weights.pair_nest_weight`), and `weights.unrank` through `_grow`, once at
-each new height of its walk.
+final, so `weights` reads `_columns` directly on its hot paths.  Every
+reader grows the table by one rule, on a miss: `completions` (for
+`motzkin_number` and for `weights.pair_nest_weight`) and `weights.unrank`,
+which calls `_grow` when a column below its cap lacks the row it reads.
 
 The table is one of two ways to read C(r, h).  The other stores nothing:
 `_step` moves the pair (C(r, h), C(r, h+1)) one symbol along a word's lattice

@@ -38,12 +38,14 @@ how to read C(r, h):
   place, opening its slot at '(' and adding to it at ')', so it holds no
   term per symbol.  No column above 0 is read or grown.
 
-`unrank` reads the table until its walk first needs column `_cap(n)`, and
-walks the rest of the word from there.  Columns hold about 0.79 L^2 bits
-each for a word of length L, so `_WALK_BUDGET_BITS` bounds the band either
-call grows; column 0 is still grown to row L.  `_cap` alone picks the walk.
-Words under 478 symbols cannot reach it, as n // 2 + 1 < `_cap(n)` there, so
-`_weigh` skips their depth scan.
+`unrank` reads the table like every other reader and decides only on a
+miss: it grows a column below `_cap(n)` and walks the rest of the word from
+one at or above it.  So no call grows a column at or above its word's cap,
+and a column another call stored is read, not walked.  Columns hold about
+0.79 L^2 bits each for a word of length L, so `_WALK_BUDGET_BITS` bounds the
+band either call grows; column 0 is still grown to row L.  `_cap` alone
+picks the walk.  Words under 478 symbols cannot reach it, as n // 2 + 1 <
+`_cap(n)` there, so `_weigh` skips their depth scan.
 
 An index, a size or a word of any length may come in, so every error message
 shows the caller's value through `errors.shown`, which names a value of more
@@ -201,15 +203,14 @@ def unrank(i: int) -> Word:
     (or i = 0 gives the word "0"): the walk writes no leading zero.  The '('
     count is read only at brackets, and ')' comes last and needs no count.
 
-    The walk grows the table at one point.  Column 0 holds row n from the
-    length search, and column h+1 is first read at the first bracket at
-    height h, at row `left`; there the walk grows it if it is short.  Later
-    reads of a column come at lower rows and columns only grow, so every
-    other read finds its entry stored.  When that column is `_cap(n)`, the
-    rest of the word is walked without the table instead, from C(left, h)
-    and C(left, h+1) = C(left+1, h) - C(left, h) - C(left, h-1): column h
-    holds row left + 1 since its own first read.  A walk that does not end
-    at offset 0 and height 0 means an inconsistent table.
+    Column 0 holds row n from the length search.  A '(' count C(left, h+1)
+    that the table lacks is a miss, and the walk decides there alone: below
+    `_cap(n)` it grows column h+1 through row `left`; at or above it, it
+    walks the rest of the word without the table, from C(left, h) and
+    C(left, h+1) = C(left+1, h) - C(left, h) - C(left, h-1).  Those entries
+    are stored: the '(' that reached height h > 0 read column h at a row
+    above `left`, and no column is shorter than the one above it.  A walk
+    that does not end at offset 0 and height 0 means an inconsistent table.
     """
     if i < 0:
         raise DomainViolationError(f"unrank requires a nonnegative index, got {shown(i)}")
@@ -218,24 +219,23 @@ def unrank(i: int) -> Word:
     while sequences.motzkin_number(n) <= i:
         n += 1
     columns, symbols = sequences._columns, []
-    cap = _cap(n)
-    offset, height, top = i, 0, 0  # top: the highest column read so far
+    offset, height = i, 0
     for left in range(n - 1, -1, -1):
         zeros = columns[height][left]
         if offset < zeros:
             symbols.append(ZERO)
             continue
-        if height == top:  # the first read of column top + 1, at row left
-            top += 1
-            if top >= cap:
-                lower = columns[top - 2][left] if top > 1 else 0
+        try:
+            opens = columns[height + 1][left]
+        except IndexError:  # not stored yet: grown below the cap, walked from at it
+            if height + 1 >= _cap(n):
+                lower = columns[height - 1][left] if height else 0
                 offset, height = _unrank_walk(symbols, offset, left, height, zeros,
-                                              columns[top - 1][left + 1] - zeros - lower)
+                                              columns[height][left + 1] - zeros - lower)
                 break
-            if len(columns) <= top or len(columns[top]) <= left:
-                sequences._grow(left + top, top)
+            sequences._grow(left + height + 1, height + 1)
+            opens = columns[height + 1][left]
         offset -= zeros
-        opens = columns[height + 1][left]
         if offset < opens:
             symbols.append(OPEN)
             height += 1

@@ -32,8 +32,10 @@ def empty_store(monkeypatch):
 
 @pytest.fixture
 def force_cap(monkeypatch):
-    """Sets the column from which every call walks, whatever the word's length:
-    0 walks every word from its first symbol, math.inf never walks."""
+    """Sets the cap, the lowest column a call walks from instead of reading,
+    whatever the word's length.  math.inf never walks.  0 walks every `rank`
+    and `decompose` from the first symbol, but `unrank` only from its first
+    '(' count that the table lacks: from the first symbol on an empty table."""
     def force(cap):
         monkeypatch.setattr(weights, "_cap", lambda length: cap)
 

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from motzkin import cli, sequences, weights
+from motzkin import cli, oracle, sequences, weights
 
+from long_words import canonical_text
 from reference_table import ROWS
 
 
@@ -357,4 +361,82 @@ def test_ctrl_c_while_parsing_arguments_is_a_one_line_error_with_exit_130(capsys
     except KeyboardInterrupt:  # escaping, it would stop the whole test run
         pytest.fail("KeyboardInterrupt escaped main")
     assert result == (130, "", "error: interrupted\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Texts that no integer argument accepts: not an integer, or over the 80-character limit.
+_MALFORMED = st.one_of(
+    st.sampled_from(["", "-", "+", "1.5", "1e3", "0x10", "--1", "1,2", "7" * 81, str(10**80),
+                     "-" + "7" * 80, "x" * 4000]),
+    st.text(max_size=10).filter(_not_an_int))
+
+
+def _size(most, past):
+    """An integer argument's text: in range up to `most` (small enough to run in
+    milliseconds), from `past` on out of range, or malformed.  Every in-range
+    text stays at most `most`: "0_1", " 1 " and "٣" read as 1, 1 and 3."""
+    return st.one_of(st.integers(-3, most).map(str),
+                     st.integers(past, 10**80 - 1).map(str),
+                     st.sampled_from(["-0", "+1", "0_1", " 1 ", "٣", "-" + "7" * 79]),
+                     _MALFORMED)
+
+
+_WORDS = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="()0", max_size=60),
+    st.integers(1, 2000).flatmap(lambda n: st.binary(min_size=n, max_size=n)).map(canonical_text))
+# In-range indices stop at 300 digits: the length search grows column 0 with the index's length,
+# to about 1.7 GB at the longest index the CLI reads.
+_INDEX = st.one_of(st.integers(-10**80, 10**300 - 1).map(str),
+                   st.just("7" * (cli.MAX_INDEX_DIGITS + 1)), _MALFORMED)
+_PAIRS = st.lists(st.one_of(st.tuples(st.integers(-2, 2100), st.integers(-2, 2100))
+                            .map(lambda pair: "%d,%d" % pair), _MALFORMED), max_size=3).map(
+    lambda pairs: [arg for pair in pairs for arg in ("--pair", pair)])
+
+
+def _argv(*parts):
+    """An argv strategy: each part is a literal argument, or a strategy for one
+    argument or for a list of them."""
+    return st.tuples(*(st.just(part) if isinstance(part, str) else part for part in parts)).map(
+        lambda pieces: [arg for piece in pieces
+                        for arg in (piece if isinstance(piece, list) else [piece])])
+
+
+_ARGVS = st.one_of(
+    _argv("rank", _WORDS),
+    _argv("unrank", _INDEX),
+    _argv("decompose", st.sampled_from([[], ["--json"]]), _WORDS),
+    _argv("compose", "--length", _size(2000, cli.MAX_COMPOSE_LENGTH + 1), _PAIRS),
+    _argv(st.sampled_from(["add", "sub"]), _WORDS, _WORDS),
+    _argv("seq", st.sampled_from([*cli._SEQUENCES, "catalan"]),
+          "--upto", _size(300, cli.MAX_SEQ_UPTO + 1)),
+    _argv("enumerate", "--length", _size(9, oracle.MAX_ENUM_LENGTH + 1)),
+    _argv("table", "--max-n", _size(25, cli.MAX_TABLE_N + 1)),
+    _argv("verify", "--max-len", _size(6, oracle.MAX_ENUM_LENGTH + 1)),
+    st.lists(st.text(max_size=12), max_size=4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_ARGVS)
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    limit = sys.get_int_max_str_digits()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert sys.get_int_max_str_digits() == limit

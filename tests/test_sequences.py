@@ -9,6 +9,8 @@ from motzkin import oracle, sequences, weights
 from motzkin.errors import DomainViolationError
 from motzkin.word_model import Word
 
+from ballot_sum import ballot_completions
+
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835, 113634]
 UNIQUE = [1, 1, 2, 5, 12, 30, 76, 196, 512, 1353, 3610, 9713, 26324, 71799]
 DELTA = [0, 1, 3, 8, 21, 55, 145, 385, 1030, 2775, 7525, 20526, 56288]
@@ -176,6 +178,19 @@ def test_growing_one_row_at_a_time_matches_the_oracle(empty_table):
     assert len(columns) > 250 and len(columns[0]) > 300
     for h, column in enumerate(columns):
         assert column == [oracle.completions(r, h) for r in range(len(column))]
+
+
+def test_the_ballot_sum_matches_the_oracle_below_row_60():
+    for r in range(60):
+        for h in range(r + 3):
+            assert ballot_completions(r, h) == oracle.completions(r, h), (r, h)
+
+
+def test_the_table_matches_the_ballot_sum_past_1000_rows(empty_table):
+    # past the oracle's reach: the referee holds no table and reads no `sequences`
+    for r, heights in ((1000, (0, 5, 40)), (3000, (0, 3)), (10**4, (0, 1))):
+        for h in heights:
+            assert sequences.completions(r, h) == ballot_completions(r, h), (r, h)
 
 
 def test_memo_survives_out_of_order_access():

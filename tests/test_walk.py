@@ -1,7 +1,10 @@
 """The table-free walk: `sequences._step` and the calls of `weights` that walk.
 
-`force_cap(0)` walks every word from its first symbol and `force_cap(math.inf)`
-never walks, so each path is checked on its own against the oracle.
+`force_cap(math.inf)` never walks.  `force_cap(0)` walks every `rank` and
+`decompose` from the first symbol, and `unrank` from its first '(' count
+that the table lacks, so a test that checks `unrank`'s walk alone starts it
+from an empty table.  Each path is checked on its own against the oracle,
+and `ballot_sum` checks the walk's step at rows up to 10^4.
 """
 
 import math
@@ -20,6 +23,7 @@ from motzkin import oracle, sequences, weights
 from motzkin.weights import decompose, rank, unrank
 from motzkin.word_model import Word
 
+from ballot_sum import ballot_completions
 from long_words import canonical_text, canonical_texts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +34,18 @@ def _refuse(*args):
     raise AssertionError(f"called on the other path with {args}")
 
 
+def _count_steps(monkeypatch):
+    """The list that records the arguments of each later `sequences._step` call."""
+    steps, true_step = [], sequences._step
+
+    def counted(*args):
+        steps.append(args)
+        return true_step(*args)
+
+    monkeypatch.setattr(sequences, "_step", counted)
+    return steps
+
+
 def test_the_step_moves_the_state_one_symbol_down_the_path():
     c = oracle.completions
     for r in range(1, 160):
@@ -38,6 +54,15 @@ def test_the_step_moves_the_state_one_symbol_down_the_path():
                 g = h + rise
                 assert sequences._step(r, h, c(r, h), c(r, h + 1), rise) == (
                     c(r - 1, g), c(r - 1, g + 1)), (r, h, rise)
+
+
+@pytest.mark.parametrize("r, h", [(10**4, 0), (10**4, 37), (3000, 900), (1000, 10)])
+def test_the_step_holds_far_down_long_paths_by_the_ballot_sum(r, h):
+    c = ballot_completions
+    for rise in ((0, 1) if h == 0 else (-1, 0, 1)):
+        g = h + rise
+        assert sequences._step(r, h, c(r, h), c(r, h + 1), rise) == (
+            c(r - 1, g), c(r - 1, g + 1)), rise
 
 
 def test_walk_and_table_agree_on_every_word_through_length_12(
@@ -64,18 +89,23 @@ def test_walk_and_table_agree_on_every_word_through_length_12(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(canonical_texts())
 def test_walked_long_words_match_the_oracle_and_round_trip(force_cap, text):
-    force_cap(0)
-    w = Word(text)
-    r = rank(w)
-    d = decompose(w)
-    assert r == d.total == oracle.rank_by_counting(w)
-    assert unrank(r) == w
-    force_cap(math.inf)  # a weight in the wrong slot keeps the total right
-    assert decompose(w).entries == d.entries
+    # fixtures run once per test, not per example, so each example empties the table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "_columns", [[1, 1]])
+        force_cap(0)
+        w = Word(text)
+        r = rank(w)
+        d = decompose(w)
+        assert r == d.total == oracle.rank_by_counting(w)
+        steps = _count_steps(patch)
+        assert unrank(r) == w
+        assert len(steps) == len(text) - 1  # walked from its first symbol
+        force_cap(math.inf)  # a weight in the wrong slot keeps the total right
+        assert decompose(w).entries == d.entries
 
 
 @pytest.mark.parametrize("cap", [2, 3, 5])
-def test_unrank_hands_over_mid_word_and_no_call_reads_the_cap_column(
+def test_unrank_hands_over_mid_word_and_no_call_grows_the_cap_column(
         cap, monkeypatch, empty_table, force_cap):
     force_cap(cap)
     handovers = []
@@ -103,18 +133,48 @@ def test_unrank_hands_over_mid_word_and_no_call_reads_the_cap_column(
     assert len(sequences._columns) == cap  # columns 0 .. cap - 1, never cap itself
 
 
+def _column_lengths():
+    return [len(column) for column in sequences._columns]
+
+
+def test_unrank_reads_columns_another_call_stored_at_or_above_the_cap(
+        monkeypatch, empty_table, force_cap):
+    sequences.completions(60, 8)  # columns 0 .. 8 through row 60 or more
+    lengths = _column_lengths()
+    force_cap(3)
+    monkeypatch.setattr(sequences, "_step", _refuse)
+    text = "((0((00(((0)))0)))0)"  # reaches height 7
+    assert unrank(oracle.rank_by_counting(Word(text))).text == text
+    assert _column_lengths() == lengths
+
+
+@pytest.mark.parametrize("text, first_miss", [
+    ("((((0))))" + "0" * 30, 2),  # the first bracket at height 2 reads column 3 at row 36
+    ("(" + "0" * 30 + "((0))" + ")", 34),  # column 3 holds row 4; the ')' misses column 4
+])
+def test_unrank_walks_from_its_first_miss_and_grows_no_column_at_or_above_the_cap(
+        text, first_miss, monkeypatch, empty_table, force_cap):
+    sequences.completions(5, 3)  # column 3 through row 5 only
+    lengths = _column_lengths()
+    force_cap(3)
+    handovers = []
+    true_walk = weights._unrank_walk
+
+    def recorded(symbols, *state):
+        handovers.append(len(symbols))
+        return true_walk(symbols, *state)
+
+    monkeypatch.setattr(weights, "_unrank_walk", recorded)
+    assert unrank(oracle.rank_by_counting(Word(text))).text == text
+    assert handovers == [first_miss]
+    assert _column_lengths()[3:] == lengths[3:]
+
+
 def test_the_deepest_words_walk_from_478_symbols_on(monkeypatch, empty_table):
     # The cap as shipped: below 478 symbols n // 2 + 1 < _cap(n), so even the
     # deepest word reads only stored columns; at 478 its innermost pair reaches
     # _cap(478) = 240.
-    steps = []
-    true_step = sequences._step
-
-    def counted(*args):
-        steps.append(args)
-        return true_step(*args)
-
-    monkeypatch.setattr(sequences, "_step", counted)
+    steps = _count_steps(monkeypatch)
     for length in range(470, 479):
         w = Word("(" * (length // 2) + ")" * (length // 2) + "0" * (length % 2))
         r = oracle.rank_by_counting(w)

@@ -188,8 +188,8 @@ def test_unrank_of_long_words_is_a_valid_word(text):
 
 
 def test_unrank_calls_completions_only_from_its_length_search(monkeypatch):
-    # the walk grows the table through `_grow` at its one growth point and reads
-    # `_columns` directly; only `motzkin_number`, at height 0, goes through `completions`
+    # the walk reads `_columns` directly and calls `_grow` on a miss below the cap;
+    # only `motzkin_number`, at height 0, goes through `completions`
     heights = []
     true_completions = sequences.completions
 
