@@ -16,8 +16,6 @@ through `errors.shown`: in full up to 80 characters, named past that.  So
 an integer argument is read only up to that length (`MAX_INTEGER_CHARS`),
 except the `unrank` index, which has its own bound."""
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -17,8 +17,9 @@ Columns only grow, by slice stores at their own rows, so threads growing
 the table at once never shift or duplicate an entry.  A stored entry is
 final, so `weights` reads `_columns` directly on its hot paths.  Every
 reader grows the table by one rule, on a miss: `completions` (for
-`motzkin_number` and for `weights.pair_nest_weight`) and `weights.unrank`,
-which calls `_grow` when a column below its cap lacks the row it reads.
+`motzkin_number`, `_walk_state` and `weights.pair_nest_weight`) and
+`weights.unrank`, which calls `_grow` when a column below its cap lacks the
+row it reads.
 
 The table is one of two ways to read C(r, h).  The other stores nothing:
 `_step` moves the pair (C(r, h), C(r, h+1)) one symbol along a word's lattice
@@ -32,9 +33,13 @@ q = h + 2 and s = r + h + 3,
     3rp C(r-1, h+1) = 2uq C(r, h) - ps C(r, h+1),
 
 and the triangle rule gives the third entry of row r - 1 from row r.  Both
-divisions are exact, and the identities hold up to the diagonal.  A walk
-starts at row n - 1, height 0, from (M_{n-1}, M_n - M_{n-1}) out of column 0.
-`weights` walks the calls whose columns would outgrow its bit budget.
+divisions are exact, and the identities hold up to the diagonal.  Every walk
+starts from `_walk_state(r, h)`, the one place a walk reads the table: it
+takes C(r, h+1) from columns h and h - 1 by the triangle rule, so a walk
+that starts below column h + 1 neither reads nor grows it.  `weights` walks
+the calls whose columns would outgrow its bit budget: a whole word from
+`_walk_state(n - 1, 0)`, which is (M_{n-1}, M_n - M_{n-1}), and the rest of
+an `unrank` from where it leaves the table.
 """
 
 from itertools import repeat
@@ -90,6 +95,15 @@ def _step(r: int, h: int, a: int, b: int, rise: int) -> tuple[int, int]:
     if rise < 0:
         return a - same - above, same  # C(r, h) is the sum of C(r-1, h-1..h+1)
     return same, above
+
+
+def _walk_state(r: int, h: int) -> tuple[int, int]:
+    """The walk state (C(r, h), C(r, h+1)) where a walk starts, read through
+    `completions` from columns h and h - 1 only: the triangle rule gives
+    C(r, h+1) = C(r+1, h) - C(r, h) - C(r, h-1), so column h + 1 is neither
+    read nor grown."""
+    a = completions(r, h)
+    return a, completions(r + 1, h) - a - (completions(r, h - 1) if h else 0)
 
 
 def motzkin_number(n: int) -> int:

@@ -23,9 +23,8 @@ triangle rule applied term by term: C(r+1, h) - C(r, h) - C(r, h-1) =
 C(r, h+1) turns the right-hand side into C(n-1, s+1) + C(k-1, s+2) +
 C(k-1, s+3).  Induction on s from the two base depths proves the form.
 
-`pair_nest_weight` reads the table directly.  `rank` and `decompose` share
-one weighing pass; only `decompose` builds records.  It decides once per word
-how to read C(r, h):
+`rank` and `decompose` share one weighing pass; only `decompose` builds
+records.  It decides once per word how to read C(r, h):
 
 - On the table path it calls `pair_nest_weight` by its global name once per
   pair, in the opening order of `matched_pairs`, so a tracer that rebinds the
@@ -33,26 +32,31 @@ how to read C(r, h):
   (closing order made cold ranks slower).
 - A word whose deepest read column, its greatest pair depth + 2, is at least
   `_cap` of its length is walked instead: `sequences._step` carries
-  (C(left, h), C(left, h+1)) along the word, and each pair's weight is its
-  term at '(' plus its term at ')'.  The one pass writes each weight in
-  place, opening its slot at '(' and adding to it at ')', so it holds no
-  term per symbol.  No column above 0 is read or grown.
+  (C(left, h), C(left, h+1)) along the word from `sequences._walk_state(n -
+  1, 0)`, and each pair's weight is its term at '(' plus its term at ')'.
+  The one pass writes each weight in place, opening its slot at '(' and
+  adding to it at ')', so it holds no term per symbol.  No column above 0 is
+  read or grown.
 
 `unrank` reads the table like every other reader and decides only on a
 miss: it grows a column below `_cap(n)` and walks the rest of the word from
-one at or above it.  So no call grows a column at or above its word's cap,
-and a column another call stored is read, not walked.  Columns hold about
-0.79 L^2 bits each for a word of length L, so `_WALK_BUDGET_BITS` bounds the
-band either call grows; column 0 is still grown to row L.  `_cap` alone
-picks the walk.  Words under 478 symbols cannot reach it, as n // 2 + 1 <
-`_cap(n)` there, so `_weigh` skips their depth scan.
+one at or above it, starting from `sequences._walk_state`.  So no call grows
+a column at or above its word's cap, and a column another call stored is
+read, not walked.  Columns hold about 0.79 L^2 bits each for a word of
+length L, so `_WALK_BUDGET_BITS` bounds the band either call grows; column 0
+is still grown to row L.  `_cap` alone picks the walk.  Words under 478
+symbols cannot reach it, as n // 2 + 1 < `_cap(n)` there, so `_weigh` skips
+their depth scan.
+
+`weights` reads `sequences._columns` only in `pair_nest_weight` and in
+`unrank`'s table loop.  Every other count comes through `completions` or,
+where a walk starts, `_walk_state`, so this module holds no triangle-rule
+difference of its own.
 
 An index, a size or a word of any length may come in, so every error message
 shows the caller's value through `errors.shown`, which names a value of more
 than 80 characters instead of writing it.
 """
-
-from __future__ import annotations
 
 from functools import partial
 from operator import itemgetter
@@ -142,8 +146,8 @@ def range_extrema(n: int) -> RangeExtrema:
         return RangeExtrema(zero, 0, zero, 0)
     lo = Word(OPEN + ZERO * (n - 2) + CLOSE)
     hi = Word((OPEN + CLOSE) * (n // 2) + ZERO * (n % 2))
-    return RangeExtrema(lo, sequences.motzkin_number(n - 1),
-                        hi, sequences.motzkin_number(n) - 1)
+    return RangeExtrema(lo, sequences.completions(n - 1, 0),
+                        hi, sequences.completions(n, 0) - 1)
 
 
 def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
@@ -164,16 +168,15 @@ def _walked_weights(text: str) -> list[int]:
     path in one pass, without the table.
 
     The count term of each bracket comes from the walk state (C(left, h),
-    C(left, h+1)), which starts at (M_{n-1}, M_n - M_{n-1}).  A '(' appends
-    its term C(left, h) as its pair's weight and pushes that slot; a ')' adds
-    its term C(left, h) + C(left, h+1) to the slot it pops.  So the walk holds
-    its state, the open slots and the weights, and nothing per symbol.  The
-    last symbol sits at row 0, where every term is 0, so the walk stops
-    before it.
+    C(left, h+1)), which starts at `sequences._walk_state(n - 1, 0)`, that is
+    (M_{n-1}, M_n - M_{n-1}).  A '(' appends its term C(left, h) as its
+    pair's weight and pushes that slot; a ')' adds its term C(left, h) +
+    C(left, h+1) to the slot it pops.  So the walk holds its state, the open
+    slots and the weights, and nothing per symbol.  The last symbol sits at
+    row 0, where every term is 0, so the walk stops before it.
     """
     n = len(text)
-    a = sequences.motzkin_number(n - 1)
-    b = sequences.motzkin_number(n) - a
+    a, b = sequences._walk_state(n - 1, 0)
     weights, opened, step = [], [], sequences._step
     for char, left in zip(text, range(n - 1, 0, -1)):
         rise = (char == OPEN) - (char == CLOSE)
@@ -205,18 +208,17 @@ def unrank(i: int) -> Word:
 
     Column 0 holds row n from the length search.  A '(' count C(left, h+1)
     that the table lacks is a miss, and the walk decides there alone: below
-    `_cap(n)` it grows column h+1 through row `left`; at or above it, it
-    walks the rest of the word without the table, from C(left, h) and
-    C(left, h+1) = C(left+1, h) - C(left, h) - C(left, h-1).  Those entries
-    are stored: the '(' that reached height h > 0 read column h at a row
-    above `left`, and no column is shorter than the one above it.  A walk
-    that does not end at offset 0 and height 0 means an inconsistent table.
+    `_cap(n)` it grows column h+1 through row `left`, even on the diagonal,
+    where `completions` grows nothing; at or above it, `_unrank_walk` walks
+    the rest of the word without the table, from `sequences._walk_state(left,
+    h)`.  A walk that does not end at offset 0 and height 0 means an
+    inconsistent table.
     """
     if i < 0:
         raise DomainViolationError(f"unrank requires a nonnegative index, got {shown(i)}")
     # M_n < 3^n, so the answer exceeds log_3 i >= floor(log2 i) / 1.59
     n = max(1, (i.bit_length() - 1) * 100 // 159)
-    while sequences.motzkin_number(n) <= i:
+    while sequences.completions(n, 0) <= i:
         n += 1
     columns, symbols = sequences._columns, []
     offset, height = i, 0
@@ -229,9 +231,7 @@ def unrank(i: int) -> Word:
             opens = columns[height + 1][left]
         except IndexError:  # not stored yet: grown below the cap, walked from at it
             if height + 1 >= _cap(n):
-                lower = columns[height - 1][left] if height else 0
-                offset, height = _unrank_walk(symbols, offset, left, height, zeros,
-                                              columns[height][left + 1] - zeros - lower)
+                offset, height = _unrank_walk(symbols, offset, left, height)
                 break
             sequences._grow(left + height + 1, height + 1)
             opens = columns[height + 1][left]
@@ -251,11 +251,12 @@ def unrank(i: int) -> Word:
     return Word._balanced("".join(symbols))
 
 
-def _unrank_walk(symbols: list[str], offset: int, left: int, height: int,
-                 zeros: int, opens: int) -> tuple[int, int]:
+def _unrank_walk(symbols: list[str], offset: int, left: int, height: int) -> tuple[int, int]:
     """The rest of `unrank`'s walk from row `left`, choosing each symbol off the
     walk state (zeros, opens) = (C(left, height), C(left, height+1)) instead
-    of the table.  Returns the final offset and height."""
+    of the table, starting from `sequences._walk_state(left, height)`.
+    Returns the final offset and height."""
+    zeros, opens = sequences._walk_state(left, height)
     step = sequences._step
     while True:
         if offset < zeros:

@@ -28,8 +28,6 @@ changed, so a thread that reads it once needs no lock; a racing
 `matched_pairs` may put back an older text, which only costs a later miss.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -77,7 +75,7 @@ class Word:
         raise UnbalancedError(None)  # every prefix is fine, so the counts differ
 
     @classmethod
-    def _balanced(cls, text: str) -> Word:
+    def _balanced(cls, text: str) -> "Word":
         """A Word without the check, for `weights.unrank` (its walk ends at
         height 0, never below) and `pair_arith._word` (whole balanced blocks)."""
         w = object.__new__(cls)

@@ -1,14 +1,17 @@
 """Code lines of each module of the package, the count `ROADMAP.md` tracks.
 
 Run as `python tests/code_lines.py`: it prints each module's count, largest
-first, and the total.  A code line is a physical line that holds a token of
-a statement, so every line of a multi-line statement counts, string lines
-included.  Blank lines, comment lines and the docstrings of modules, classes
-and functions do not.
+first, and the total.  If its reader leaves early, it stops silently with
+exit 1, as the `motzkin` CLI does.  A code line is a physical line that
+holds a token of a statement, so every line of a multi-line statement
+counts, string lines included.  Blank lines, comment lines and the
+docstrings of modules, classes and functions do not.
 """
 
 import ast
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -40,13 +43,19 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main() -> None:
+def main() -> int:
     counts = {path.stem: code_lines(path.read_text(encoding="utf-8"))
               for path in SRC.glob("*.py")}
-    for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
-        print(f"{name:<12}{count:>5}")
-    print(f"{'total':<12}{sum(counts.values()):>5}")
+    try:
+        for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
+            print(f"{name:<12}{count:>5}")
+        print(f"{'total':<12}{sum(counts.values()):>5}")
+        sys.stdout.flush()  # a pipe that closes before this flush is caught below too
+    except BrokenPipeError:  # the reader left: print nothing, and keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

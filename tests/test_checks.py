@@ -1,6 +1,6 @@
 import pytest
 
-from motzkin import checks, oracle, weights, word_model
+from motzkin import checks, oracle, sequences, weights, word_model
 from motzkin.errors import DomainViolationError, RangeTooLargeError
 
 
@@ -51,6 +51,17 @@ def test_wrong_range_extrema_are_caught(monkeypatch, skew, detail):
     results = checks.run_checks(6)
     assert [r.name for r in results if not r.passed] == ["range-extrema"]
     assert results[-1].detail == detail
+
+
+@pytest.mark.parametrize("r, h", [(9, 0), (7, 3)])
+def test_a_wrong_table_entry_is_caught_at_any_height(empty_table, r, h):
+    # the check reads every entry through row 20, growing what is missing, so
+    # one run stores them all before one entry is skewed
+    assert all(result.passed for result in checks.run_checks(6))
+    sequences._columns[h][r] += 1
+    [failed] = [result for result in checks.run_checks(6) if not result.passed]
+    assert failed.name == "completions-vs-motzkin"
+    assert failed.detail.startswith(f"completions({r}, {h}): table ")
 
 
 @pytest.mark.parametrize("max_len, error", [(17, RangeTooLargeError),

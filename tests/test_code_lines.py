@@ -1,6 +1,11 @@
 """The rules of `code_lines`, the counter of the package's tracked code lines,
 pinned on small sources (no total is pinned: it moves with the code)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from code_lines import code_lines
@@ -22,3 +27,15 @@ from code_lines import code_lines
 ])
 def test_code_lines_counts_statement_lines_and_skips_the_rest(source, count):
     assert code_lines(source) == count
+
+
+def test_a_closed_stdout_pipe_ends_silently_with_exit_1():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first line
+    try:
+        proc = subprocess.run([sys.executable, str(Path(__file__).parent / "code_lines.py")],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -1,4 +1,5 @@
-"""The table-free walk: `sequences._step` and the calls of `weights` that walk.
+"""The table-free walk: `sequences._step`, its start `sequences._walk_state`,
+and the calls of `weights` that walk.
 
 `force_cap(math.inf)` never walks.  `force_cap(0)` walks every `rank` and
 `decompose` from the first symbol, and `unrank` from its first '(' count
@@ -63,6 +64,15 @@ def test_the_step_holds_far_down_long_paths_by_the_ballot_sum(r, h):
         g = h + rise
         assert sequences._step(r, h, c(r, h), c(r, h + 1), rise) == (
             c(r - 1, g), c(r - 1, g + 1)), rise
+
+
+def test_the_walk_state_reads_no_column_above_its_height(monkeypatch):
+    c = oracle.completions
+    for r in range(40):
+        for h in range(r + 2):
+            monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+            assert sequences._walk_state(r, h) == (c(r, h), c(r, h + 1)), (r, h)
+            assert len(sequences._columns) <= h + 1, (r, h)
 
 
 def test_walk_and_table_agree_on_every_word_through_length_12(

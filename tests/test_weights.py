@@ -1,7 +1,7 @@
 import random
 import sys
 import threading
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,24 +187,59 @@ def test_unrank_of_long_words_is_a_valid_word(text):
     assert type(out) is Word and out.text == text and Word(out.text) == out
 
 
-def test_unrank_calls_completions_only_from_its_length_search(monkeypatch):
-    # the walk reads `_columns` directly and calls `_grow` on a miss below the cap;
-    # only `motzkin_number`, at height 0, goes through `completions`
-    heights = []
-    true_completions = sequences.completions
+def test_unrank_calls_completions_above_height_0_only_at_its_one_hand_over(
+        monkeypatch, force_cap):
+    # the walk reads `_columns` directly and calls `_grow` on a miss below the
+    # cap; the length search reads column 0 through `completions`, and a
+    # hand-over to the table-free walk reads its start through `_walk_state`,
+    # from entries already stored
+    calls, handovers = [], []
+    true_completions, true_walk_state = sequences.completions, sequences._walk_state
 
     def recorded(remaining, height):
-        heights.append(height)
+        calls.append((remaining, height))
         return true_completions(remaining, height)
 
+    def lengths():
+        return [len(column) for column in sequences._columns]
+
+    def walk_state(r, h):
+        start, before = len(calls), lengths()
+        state = true_walk_state(r, h)
+        handovers.append((r, h, calls[start:], before, lengths()))
+        return state
+
     monkeypatch.setattr(sequences, "completions", recorded)
+    monkeypatch.setattr(sequences, "_walk_state", walk_state)
     rng = random.Random(13)
-    texts = ["0", "()", "(" * 300 + ")" * 300, "()" * 300,
-             *(_random_canonical_text(rng, n) for n in (50, 400, 900))]
-    for text in texts:
-        monkeypatch.setattr(sequences, "_columns", [[1, 1]])
-        assert unrank(oracle.rank_by_counting(Word(text))).text == text
-    assert heights and set(heights) == {0}
+    deep = "(" * 300 + ")" * 300  # depth 300 reaches _cap(600) = 152
+    shipped = ["0", "()", deep, "()" * 300,
+               *(_random_canonical_text(rng, n) for n in (50, 400, 900))]
+    forced = [_random_canonical_text(rng, 200) for _ in range(4)]
+    walked = []
+    for cap, texts in ((None, shipped), (1, forced), (4, forced)):
+        if cap is not None:
+            force_cap(cap)
+        for text in texts:
+            monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+            calls.clear()
+            handovers.clear()
+            assert unrank(oracle.rank_by_counting(Word(text))).text == text
+            above = [call for call in calls if call[1] > 0]
+            heights = list(accumulate((c == "(") - (c == ")") for c in text))
+            walk_from = weights._cap(len(text))
+            if max(heights) + 1 < walk_from:
+                assert handovers == [] and above == [], text
+                continue
+            walked.append((cap, text))
+            [(r, h, reads, before, after)] = handovers
+            assert reads == [(r, h), (r + 1, h), (r, h - 1)][:3 if h else 2]
+            assert above == reads[:3 if h else 0]
+            assert before == after  # the hand-over grows no column
+            assert h == walk_from - 1
+    # at cap 4 each forced word hands over mid-word, at height 3
+    assert walked == [(None, deep), *((1, text) for text in forced),
+                      *((4, text) for text in forced)]
 
 
 def test_unrank_from_an_empty_table_inverts_the_counted_rank(monkeypatch, words_through):
