@@ -2,9 +2,18 @@
 
 This module is the referee for the closed-form weight machinery, so it must
 stay independent of it: no imports from `weights` or `sequences`, ever.
-Everything here is built from backtracking enumeration and the completion
-count recurrence alone.  Pure functions over a grow-only table; safe for
-concurrent readers after a single-threaded warm-up.
+Everything here rests on two rules, each stated once:
+
+- The Motzkin triangle C(r, h) = C(r-1, h-1) + C(r-1, h) + C(r-1, h+1),
+  zero off the triangle (OEIS A026300): `completions` builds each row from
+  the row above padded with zeros.
+- A prefix stays completable while its height stays within 0..left, where
+  `left` counts the symbols still to come: `enumerate_range` places each
+  symbol that keeps it so.
+
+The triangle is a grow-only list of rows, each stored by a slice store at
+its own index, so threads growing it at once neither duplicate nor skip a
+row.
 """
 
 from .errors import DomainViolationError, NotCanonicalError, RangeTooLargeError, shown
@@ -30,16 +39,8 @@ def completions(remaining: int, height: int) -> int:
         return 0
     while len(_completion_rows) <= remaining:
         r = len(_completion_rows)
-        prev = _completion_rows[r - 1]
-        row = []
-        for h in range(r + 1):
-            total = prev[h - 1] if h > 0 else 0
-            if h < r:
-                total += prev[h]
-            if h + 1 < r:
-                total += prev[h + 1]
-            row.append(total)
-        _completion_rows[r:r + 1] = [row]
+        padded = [0, *_completion_rows[r - 1], 0, 0]
+        _completion_rows[r:r + 1] = [[a + b + c for a, b, c in zip(padded, padded[1:], padded[2:])]]
     return _completion_rows[remaining][height]
 
 
@@ -47,8 +48,9 @@ def enumerate_range(n: int) -> list[Word]:
     """All canonical words of length n, in lexicographic order.
 
     Backtracking over balanced strings that start with '(' (the sole
-    length-1 word is "0"); candidate symbols are tried in the alphabet
-    order '0' < '(' < ')', so the output needs no sorting.
+    length-1 word is "0"); each symbol whose new height stays within
+    0..left is placed, in the alphabet order '0' < '(' < ')', so the output
+    needs no sorting.
     """
     if n < 1:
         raise DomainViolationError(f"enumerate_range requires n >= 1, got {shown(n)}")
@@ -66,15 +68,10 @@ def enumerate_range(n: int) -> list[Word]:
             words.append(Word("".join(buf)))
             return
         left = n - pos - 1
-        if height <= left:
-            buf[pos] = ZERO
-            extend(pos + 1, height)
-        if height + 1 <= left:
-            buf[pos] = OPEN
-            extend(pos + 1, height + 1)
-        if height > 0:
-            buf[pos] = CLOSE
-            extend(pos + 1, height - 1)
+        for symbol, rise in ((ZERO, 0), (OPEN, 1), (CLOSE, -1)):
+            if 0 <= height + rise <= left:
+                buf[pos] = symbol
+                extend(pos + 1, height + rise)
 
     extend(1, 1)
     return words

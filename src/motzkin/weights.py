@@ -41,12 +41,17 @@ records.  It decides once per word how to read C(r, h):
 `unrank` reads the table like every other reader and decides only on a
 miss: it grows a column below `_cap(n)` and walks the rest of the word from
 one at or above it, starting from `sequences._walk_state`.  So no call grows
-a column at or above its word's cap, and a column another call stored is
-read, not walked.  Columns hold about 0.79 L^2 bits each for a word of
-length L, so `_WALK_BUDGET_BITS` bounds the band either call grows; column 0
-is still grown to row L.  `_cap` alone picks the walk.  Words under 478
-symbols cannot reach it, as n // 2 + 1 < `_cap(n)` there, so `_weigh` skips
-their depth scan.
+a column at or above its word's cap.  `unrank` reads a column another call
+stored, where `_weigh`, which decides by depth alone, walks.
+
+Columns hold about 0.79 L^2 bits each for a word of length L, so
+`_WALK_BUDGET_BITS` bounds the band either call grows; column 0 is still
+grown to row L.  That bound is per call, and the table keeps what calls
+grow; but column c >= 1 grows only for words with `_cap(L)` > c, so across
+calls it stays under `_WALK_BUDGET_BITS / c` bits, and the columns above 0
+under the budget times the harmonic number of the highest column, about
+33 MB.  `_cap` alone picks the walk.  Words under 478 symbols cannot reach
+it, as n // 2 + 1 < `_cap(n)` there, so `_weigh` skips their depth scan.
 
 `weights` reads `sequences._columns` only in `pair_nest_weight` and in
 `unrank`'s table loop.  Every other count comes through `completions` or,

@@ -186,6 +186,15 @@ def test_the_ballot_sum_matches_the_oracle_below_row_60():
             assert ballot_completions(r, h) == oracle.completions(r, h), (r, h)
 
 
+def test_the_ballot_sum_matches_the_oracle_on_long_rows(monkeypatch):
+    # the oracle's padded row rule at both ends of long rows; its triangle goes after
+    monkeypatch.setattr(oracle, "_completion_rows", [[1]])
+    for h in range(302):
+        assert ballot_completions(300, h) == oracle.completions(300, h), (300, h)
+    for h in (0, 1, 2, 17, 333, 500, 998, 999, 1000, 1001):
+        assert ballot_completions(1000, h) == oracle.completions(1000, h), (1000, h)
+
+
 def test_the_table_matches_the_ballot_sum_past_1000_rows(empty_table):
     # past the oracle's reach: the referee holds no table and reads no `sequences`
     for r, heights in ((1000, (0, 5, 40)), (3000, (0, 3)), (10**4, (0, 1))):

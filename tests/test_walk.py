@@ -200,6 +200,23 @@ def test_the_deepest_words_walk_from_478_symbols_on(monkeypatch, empty_table):
             assert 0 not in counts
 
 
+def test_each_column_above_0_stays_under_its_share_of_the_budget_across_calls(empty_table):
+    # Column c grows only for words with _cap(L) > c, so it holds at most
+    # _WALK_BUDGET_BITS / c bits whichever calls grew it: a deep table-path
+    # word for every cap from _cap(2000) to _cap(478), then random words.
+    depths = {weights._cap(length) - 3: length for length in range(478, 2001)}
+    texts = ["(" * d + "0" * (length - 2 * d) + ")" * d for d, length in sorted(depths.items())]
+    rng = random.Random(41)
+    texts += [canonical_text(rng.randbytes(rng.randint(200, 2000))) for _ in range(40)]
+    for text in texts:
+        w = Word(text)
+        assert unrank(rank(w)) == w
+    columns = sequences._columns
+    assert len(columns) > 200
+    for c, column in enumerate(columns[1:], 1):
+        assert sum(x.bit_length() for x in column) * c < weights._WALK_BUDGET_BITS, c
+
+
 def _run_under(limit, probe):
     """Runs the probe in a fresh process whose address space is capped at limit bytes."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
