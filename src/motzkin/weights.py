@@ -50,8 +50,12 @@ grown to row L.  That bound is per call, and the table keeps what calls
 grow; but column c >= 1 grows only for words with `_cap(L)` > c, so across
 calls it stays under `_WALK_BUDGET_BITS / c` bits, and the columns above 0
 under the budget times the harmonic number of the highest column, about
-33 MB.  `_cap` alone picks the walk.  Words under 478 symbols cannot reach
-it, as n // 2 + 1 < `_cap(n)` there, so `_weigh` skips their depth scan.
+33 MB.  Both bounds hold only for what `rank`, `unrank` and `decompose`
+grow: `pair_nest_weight`, like `sequences.completions`, grows whatever row
+and column it is asked for (from an empty table, `pair_nest_weight(3000,
+2000, 100)` leaves 92.3 MB in columns 1-102).  `_cap` alone picks the
+walk.  Words under 478 symbols cannot reach it, as n // 2 + 1 < `_cap(n)`
+there, so `_weigh` skips their depth scan.
 
 `weights` reads `sequences._columns` only in `pair_nest_weight` and in
 `unrank`'s table loop.  Every other count comes through `completions` or,

@@ -29,6 +29,7 @@ changed, so a thread that reads it once needs no lock; a racing
 """
 
 from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import EmptyInputError, IllegalCharacterError, UnbalancedError
@@ -49,16 +50,25 @@ _last: tuple = (object(), None, None)
 
 
 class Word:
-    """A validated Motzkin word.  Immutable; construction checks balance."""
+    """A validated Motzkin word.  Immutable; construction checks balance.
 
-    __slots__ = ("text",)
+    The text lives in one private slot, `_text`, which only `__init__` (after
+    which `__post_init__` checks it) and `_balanced` set; `text` reads it
+    through a property with no setter or deleter.  So assigning or deleting
+    `text` raises `AttributeError`, and with no instance `__dict__` so does
+    setting any other attribute.  Pickling and copying go through `__reduce__`,
+    which builds the Word again from its text, so an unpickled text is checked.
+    """
+
+    __slots__ = ("_text",)
+    text = property(attrgetter("_text"))
 
     def __init__(self, text: str):
-        object.__setattr__(self, "text", text)
+        self._text = text
         self.__post_init__()
 
     def __post_init__(self):
-        text = self.text
+        text = self._text
         if (text and not text.translate(_NOT_SYMBOLS)
                 and min(accumulate(map(_STEP.__getitem__, text))) >= 0
                 and text.count(OPEN) == text.count(CLOSE)):
@@ -79,32 +89,26 @@ class Word:
         """A Word without the check, for `weights.unrank` (its walk ends at
         height 0, never below) and `pair_arith._word` (whole balanced blocks)."""
         w = object.__new__(cls)
-        object.__setattr__(w, "text", text)
+        w._text = text
         return w
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
-        return self.text == other.text if type(other) is Word else NotImplemented
+        return self._text == other._text if type(other) is Word else NotImplemented
 
     def __hash__(self):
-        return hash(self.text)
+        return hash(self._text)
 
     def __repr__(self):
-        return f"Word(text={self.text!r})"
+        return f"Word(text={self._text!r})"
 
     def __reduce__(self):
-        return Word, (self.text,)
+        return Word, (self._text,)
 
     def __len__(self):
-        return len(self.text)
+        return len(self._text)
 
     def __str__(self):
-        return self.text
+        return self._text
 
 
 class PrimeSegment(NamedTuple):

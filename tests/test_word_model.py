@@ -305,7 +305,13 @@ def test_unrank_and_block_arithmetic_build_words_without_the_check(monkeypatch):
         assert type(out) is Word and Word(out.text) == out
         with pytest.raises(AttributeError):
             out.text = "0"
+        with pytest.raises(AttributeError):
+            del out.text
+        with pytest.raises(AttributeError):
+            out.extra = 1
     assert built[1:] == [z, x, y]
+    # neither constructor gives a Word an instance __dict__
+    assert not any(hasattr(w, "__dict__") for w in [*built, x, y, parse("(0())0")])
 
 
 def test_the_unchecked_constructor_is_no_public_function():
