@@ -1,45 +1,32 @@
 """Exact integer sequences behind the weight formulas.
 
 The kernel is the completion table C(r, h), the Motzkin triangle (OEIS
-A026300), with M_n = C(n, 0); `weights` reads every weight, rank and unrank
-off it, from the stored table or, for deep words, from the walk below.
-`unique_count`, `delta` and `delta_prime` keep the paper's
-definitions in terms of M_n, so they stay independent identities.
+A026300), with M_n = C(n, 0).  `unique_count`, `delta` and `delta_prime`
+keep the paper's definitions in terms of M_n, so they stay independent
+identities.
 
-The table is kept by column, _columns[h][r] = C(r, h), each grown only as
-far as a call reads.  Column 0 holds the Motzkin numbers, grown by their
-P-recurrence (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2} (OEIS A001006).
-Column h+1 is the triangle rule solved for its top term, C(r, h+1) =
-C(r+1, h) - C(r, h) - C(r, h-1) with C(r, -1) = 0, so C(r, H) needs column
-h only through row r + H - h.  A growth call slices only the new rows out
-of the columns below, so its cost is proportional to the rows it adds.
-Columns only grow, by slice stores at their own rows, so threads growing
-the table at once never shift or duplicate an entry.  A stored entry is
-final, so `weights` reads `_columns` directly on its hot paths.  Every
-reader grows the table by one rule, on a miss: `completions` (for
-`motzkin_number`, `_walk_state` and `weights.pair_nest_weight`) and
-`weights.unrank`, which calls `_grow` when a column below its cap lacks the
-row it reads.
+The table is kept by column, _columns[h][r] = C(r, h), each grown on a miss
+only as far as a call reads.  Column 0 holds the Motzkin numbers, grown by
+their P-recurrence (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2} (OEIS
+A001006).  Column h+1 is the triangle rule solved for its top term,
+C(r, h+1) = C(r+1, h) - C(r, h) - C(r, h-1) with C(r, -1) = 0, so C(r, H)
+needs column h only through row r + H - h.  Columns only grow, by slice
+stores of new rows, so threads growing the table at once never shift or
+duplicate an entry, and a stored entry is final: readers may index
+`_columns` directly.
 
-The table is one of two ways to read C(r, h).  The other stores nothing:
-`_step` moves the pair (C(r, h), C(r, h+1)) one symbol along a word's lattice
-path, to row r - 1 at height h - 1, h or h + 1.  Column h has generating
-function x^h M(x)^{h+1}, and M is algebraic of degree 2, so each column obeys
-a row step with small polynomial coefficients (Flajolet & Sedgewick,
-*Analytic Combinatorics* VII; OEIS A026300).  With u = r - h, p = h + 1,
-q = h + 2 and s = r + h + 3,
+The walk reads C(r, h) without storing it: `_step` moves the pair
+(C(r, h), C(r, h+1)) one symbol along a word's lattice path, to row r - 1
+at height h - 1, h or h + 1.  Column h has generating function
+x^h M(x)^{h+1}, and M is algebraic of degree 2, so each column obeys a row
+step with small polynomial coefficients (Flajolet & Sedgewick, *Analytic
+Combinatorics* VII).  With u = r - h, p = h + 1, q = h + 2 and s = r + h + 3,
 
     3rq C(r-1, h)   = 2ps C(r, h+1) - uq C(r, h)
     3rp C(r-1, h+1) = 2uq C(r, h) - ps C(r, h+1),
 
 and the triangle rule gives the third entry of row r - 1 from row r.  Both
-divisions are exact, and the identities hold up to the diagonal.  Every walk
-starts from `_walk_state(r, h)`, the one place a walk reads the table: it
-takes C(r, h+1) from columns h and h - 1 by the triangle rule, so a walk
-that starts below column h + 1 neither reads nor grows it.  `weights` walks
-the calls whose columns would outgrow its bit budget: a whole word from
-`_walk_state(n - 1, 0)`, which is (M_{n-1}, M_n - M_{n-1}), and the rest of
-an `unrank` from where it leaves the table.
+divisions are exact, and the identities hold up to the diagonal.
 """
 
 from itertools import repeat
@@ -98,10 +85,9 @@ def _step(r: int, h: int, a: int, b: int, rise: int) -> tuple[int, int]:
 
 
 def _walk_state(r: int, h: int) -> tuple[int, int]:
-    """The walk state (C(r, h), C(r, h+1)) where a walk starts, read through
-    `completions` from columns h and h - 1 only: the triangle rule gives
-    C(r, h+1) = C(r+1, h) - C(r, h) - C(r, h-1), so column h + 1 is neither
-    read nor grown."""
+    """The walk state (C(r, h), C(r, h+1)) where every walk starts, the one
+    place a walk reads the table: through `completions`, from columns h and
+    h - 1 only, by the triangle rule, so column h + 1 is neither read nor grown."""
     a = completions(r, h)
     return a, completions(r + 1, h) - a - (completions(r, h - 1) if h else 0)
 
@@ -112,11 +98,9 @@ def motzkin_number(n: int) -> int:
 
 
 def unique_count(n: int) -> int:
-    """Number of canonical words of length n (the size of the n-range).
-
-    U_1 = 1 (the single word "0"); U_n = M_n - M_{n-1} for n >= 2, which
-    removes the words inherited from length n-1 by a leading zero.
-    """
+    """U_n, the number of canonical words of length n: 1 for n = 1 (the word
+    "0"), else M_n - M_{n-1}, which drops the words of length n-1 padded by a
+    leading zero."""
     if n < 1:
         raise DomainViolationError(f"unique_count requires n >= 1, got {shown(n)}")
     if n == 1:

@@ -23,48 +23,17 @@ triangle rule applied term by term: C(r+1, h) - C(r, h) - C(r, h-1) =
 C(r, h+1) turns the right-hand side into C(n-1, s+1) + C(k-1, s+2) +
 C(k-1, s+3).  Induction on s from the two base depths proves the form.
 
-`rank` and `decompose` share one weighing pass; only `decompose` builds
-records.  It decides once per word how to read C(r, h):
+A call on a word of length L grows no column at or above `_cap(L)`; where
+it would, it walks from `sequences._walk_state` by `sequences._step`.  So
+`rank`, `unrank` and `decompose` grow the columns above 0 by at most
+`_WALK_BUDGET_BITS` per call (column 0 grows to row L), and across calls
+column c >= 1 stays under `_WALK_BUDGET_BITS / c` bits (tests/test_walk.py,
+`test_each_column_above_0_stays_under_its_share_of_the_budget_across_calls`).
+`pair_nest_weight` and `sequences.completions` grow whatever they are asked for.
 
-- On the table path it calls `pair_nest_weight` by its global name once per
-  pair, in the opening order of `matched_pairs`, so a tracer that rebinds the
-  name sees every weight.  Opening order keeps table growth in that order
-  (closing order made cold ranks slower).
-- A word whose deepest read column, its greatest pair depth + 2, is at least
-  `_cap` of its length is walked instead: `sequences._step` carries
-  (C(left, h), C(left, h+1)) along the word from `sequences._walk_state(n -
-  1, 0)`, and each pair's weight is its term at '(' plus its term at ')'.
-  The one pass writes each weight in place, opening its slot at '(' and
-  adding to it at ')', so it holds no term per symbol.  No column above 0 is
-  read or grown.
-
-`unrank` reads the table like every other reader and decides only on a
-miss: it grows a column below `_cap(n)` and walks the rest of the word from
-one at or above it, starting from `sequences._walk_state`.  So no call grows
-a column at or above its word's cap.  `unrank` reads a column another call
-stored, where `_weigh`, which decides by depth alone, walks.
-
-Columns hold about 0.79 L^2 bits each for a word of length L, so
-`_WALK_BUDGET_BITS` bounds the band either call grows; column 0 is still
-grown to row L.  That bound is per call, and the table keeps what calls
-grow; but column c >= 1 grows only for words with `_cap(L)` > c, so across
-calls it stays under `_WALK_BUDGET_BITS / c` bits, and the columns above 0
-under the budget times the harmonic number of the highest column, about
-33 MB.  Both bounds hold only for what `rank`, `unrank` and `decompose`
-grow: `pair_nest_weight`, like `sequences.completions`, grows whatever row
-and column it is asked for (from an empty table, `pair_nest_weight(3000,
-2000, 100)` leaves 92.3 MB in columns 1-102).  `_cap` alone picks the
-walk.  Words under 478 symbols cannot reach it, as n // 2 + 1 < `_cap(n)`
-there, so `_weigh` skips their depth scan.
-
-`weights` reads `sequences._columns` only in `pair_nest_weight` and in
-`unrank`'s table loop.  Every other count comes through `completions` or,
-where a walk starts, `_walk_state`, so this module holds no triangle-rule
-difference of its own.
-
-An index, a size or a word of any length may come in, so every error message
-shows the caller's value through `errors.shown`, which names a value of more
-than 80 characters instead of writing it.
+This module reads `sequences._columns` only in `pair_nest_weight` and in
+`unrank`'s table loop, and takes every other count from `completions` or
+`_walk_state`, so it holds no triangle-rule difference of its own.
 """
 
 from functools import partial
@@ -103,12 +72,9 @@ def pair_weight(n: int, k: int) -> int:
 
 
 def pair_nest_weight(n: int, k: int, s: int) -> int:
-    """Weight contributed by the (n, k) pair when nested s levels deep.
-
-    C(n-1, s) + C(k-1, s+1) + C(k-1, s+2) over the completion table.  A pair
-    with k <= s cannot sit that deep (there are not enough closing brackets
-    after it).
-    """
+    """Weight of the (n, k) pair nested s levels deep: C(n-1, s) + C(k-1, s+1)
+    + C(k-1, s+2).  A pair with k <= s cannot sit that deep (there are not
+    enough closing brackets after it)."""
     if s < 0 or not n > k > s:
         raise DomainViolationError("nest weight requires n > k > s >= 0, "
                                    f"got n={shown(n)} k={shown(k)} s={shown(s)}")
@@ -143,11 +109,9 @@ class RangeExtrema(NamedTuple):
 
 
 def range_extrema(n: int) -> RangeExtrema:
-    """Smallest and largest canonical word of length n, with their ranks.
-
-    The minimum is (0^{n-2}) at rank M_{n-1}; the maximum is ()
-    repeated floor(n/2) times, with a final 0 when n is odd, at M_n - 1.
-    """
+    """Smallest and largest canonical word of length n, with their ranks:
+    (0^{n-2}) at M_{n-1}, and () repeated floor(n/2) times, with a final 0
+    when n is odd, at M_n - 1."""
     if n < 1:
         raise DomainViolationError(f"range_extrema requires n >= 1, got {shown(n)}")
     if n == 1:
@@ -160,7 +124,12 @@ def range_extrema(n: int) -> RangeExtrema:
 
 
 def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-    """The weighing pass of `rank` and `decompose`: (len + 1, pair triples, weights)."""
+    """The weighing pass of `rank` and `decompose`: (len + 1, pair triples,
+    weights in opening order).  A word whose deepest read column, its greatest
+    pair depth + 2, reaches its cap is walked; any other calls
+    `pair_nest_weight` by its global name once per pair, so a tracer that
+    rebinds the name sees every weight.  Only words of 478 symbols or more can
+    reach the cap (`test_the_deepest_words_walk_from_478_symbols_on` in tests/test_walk.py)."""
     if not is_umw(w):
         raise NotCanonicalError(f"{shown(w.text)} is not canonical; strip leading zeros first")
     end = len(w.text) + 1
@@ -173,17 +142,11 @@ def _weigh(w: Word) -> tuple[int, list[tuple[int, int, int]], list[int]]:
 
 
 def _walked_weights(text: str) -> list[int]:
-    """The pairs' nest-weights in opening order, read off the word's lattice
-    path in one pass, without the table.
-
-    The count term of each bracket comes from the walk state (C(left, h),
-    C(left, h+1)), which starts at `sequences._walk_state(n - 1, 0)`, that is
-    (M_{n-1}, M_n - M_{n-1}).  A '(' appends its term C(left, h) as its
-    pair's weight and pushes that slot; a ')' adds its term C(left, h) +
-    C(left, h+1) to the slot it pops.  So the walk holds its state, the open
-    slots and the weights, and nothing per symbol.  The last symbol sits at
-    row 0, where every term is 0, so the walk stops before it.
-    """
+    """The pairs' nest-weights in opening order, walked without the table from
+    `sequences._walk_state(n - 1, 0)`.  A '(' appends its term C(left, h) as
+    its pair's weight and pushes that slot; a ')' adds its term C(left, h) +
+    C(left, h+1) to the slot it pops, so the walk holds nothing per symbol.
+    It stops before the last symbol, at row 0, where every term is 0."""
     n = len(text)
     a, b = sequences._walk_state(n - 1, 0)
     weights, opened, step = [], [], sequences._step
@@ -206,22 +169,15 @@ def rank(w: Word) -> int:
 def unrank(i: int) -> Word:
     """The canonical word of rank i (inverse of `rank`).
 
-    Leading zeros act as in numerals: padding every canonical word of
-    length <= n with zeros to length n lists the M_n Motzkin words of length
-    n in the same order.  So the walk takes the least n with i < M_n and
-    chooses the symbols of the padded word of rank i from offset i at height
-    0, one at a time in alphabet order, skipping over completion counts.  As
-    n is least, the first symbol skips the M_{n-1} shorter words and is '('
-    (or i = 0 gives the word "0"): the walk writes no leading zero.  The '('
-    count is read only at brackets, and ')' comes last and needs no count.
-
-    Column 0 holds row n from the length search.  A '(' count C(left, h+1)
-    that the table lacks is a miss, and the walk decides there alone: below
-    `_cap(n)` it grows column h+1 through row `left`, even on the diagonal,
-    where `completions` grows nothing; at or above it, `_unrank_walk` walks
-    the rest of the word without the table, from `sequences._walk_state(left,
-    h)`.  A walk that does not end at offset 0 and height 0 means an
-    inconsistent table.
+    Padding every canonical word of length <= n with leading zeros lists the
+    M_n Motzkin words of length n in the same order.  So the walk takes the
+    least n with i < M_n and picks the symbols of the padded word of rank i
+    one at a time, skipping over completion counts; as n is least, the first
+    is '(' (or i = 0 gives "0").  A '(' count C(left, h+1) that the table
+    lacks is a miss: below `_cap(n)` the walk grows column h+1 through row
+    `left`, even on the diagonal, where `completions` grows nothing; at or
+    above it, `_unrank_walk` walks the rest of the word.  A walk that does not
+    end at offset 0 and height 0 means an inconsistent table.
     """
     if i < 0:
         raise DomainViolationError(f"unrank requires a nonnegative index, got {shown(i)}")
@@ -262,9 +218,8 @@ def unrank(i: int) -> Word:
 
 def _unrank_walk(symbols: list[str], offset: int, left: int, height: int) -> tuple[int, int]:
     """The rest of `unrank`'s walk from row `left`, choosing each symbol off the
-    walk state (zeros, opens) = (C(left, height), C(left, height+1)) instead
-    of the table, starting from `sequences._walk_state(left, height)`.
-    Returns the final offset and height."""
+    walk state (zeros, opens) = (C(left, height), C(left, height+1)) from
+    `sequences._walk_state(left, height)`.  Returns the final offset and height."""
     zeros, opens = sequences._walk_state(left, height)
     step = sequences._step
     while True:
@@ -302,11 +257,8 @@ class Decomposition(NamedTuple):
 
 
 def decompose(w: Word) -> Decomposition:
-    """Factor a canonical word into prime pairs with weight contributions.
-
-    Entries follow the opening-bracket order; the word "0" decomposes into
-    nothing with total 0.
-    """
+    """Factor a canonical word into prime pairs with weight contributions, in
+    opening-bracket order; the word "0" decomposes into nothing with total 0."""
     end, triples, contributions = _weigh(w)
     entries = tuple([_entry((end - a, end - b, depth, weight))
                      for (a, b, depth), weight in zip(triples, contributions)])
@@ -314,13 +266,10 @@ def decompose(w: Word) -> Decomposition:
 
 
 def compose(length: int, sites: Iterable[tuple[int, int]]) -> Word:
-    """Rebuild a word from pair positions (inverse of `decompose`).
-
-    Writes '(' and ')' at the given 1-based positions and zeros everywhere
-    else.  Spans must be pairwise disjoint or nested, positions distinct,
-    and the result must be canonical.  Lengths over MAX_COMPOSE_LENGTH are
-    refused before anything is built.
-    """
+    """Rebuild a word from pair positions (inverse of `decompose`): '(' and ')'
+    at the given 1-based positions, zeros everywhere else.  Spans must be
+    pairwise disjoint or nested, positions distinct, and the result canonical.
+    Lengths over MAX_COMPOSE_LENGTH are refused before anything is built."""
     if length < 1:
         raise DomainViolationError(f"compose requires length >= 1, got {shown(length)}")
     if length > MAX_COMPOSE_LENGTH:

@@ -5,27 +5,15 @@ balance (every prefix has at least as many '(' as ')', and the totals are
 equal).  Words may carry leading zeros internally; the canonical form used
 for ranking has none, the single word "0" being the one exception.
 
-`Word` accepts a valid text at C speed: deleting the three symbols leaves
-nothing, the running height (`accumulate` over the steps) never drops below
-0, and the '(' and ')' counts agree.  Only a text that fails this goes
-through the per-character loop, which names the first error and its position.
-Only `Word._balanced` skips the check, for two outputs known to balance.
-
-`matched_pairs` is the pair matcher: plain (open, close, depth) tuples.
-
-`parse` remembers the last text it read, with the `Word` built for it and,
-once `matched_pairs` is first asked for that text, its pairs as a tuple.  So
-a word parsed again straight away, as in `rank(parse(t))` then
-`decompose(parse(t))`, is neither checked nor matched again: `parse` returns
-the remembered `Word`, and `matched_pairs` a fresh list of the remembered
-pairs.  Nothing else is remembered: not a text that fails the check, not a
-text longer than `_STORE_MAX_LENGTH` (65 536) symbols, which bounds the
-pairs kept to about 4 MiB, and not a `Word` built another way (`Word()`,
-`unrank`, `padd`/`psub`, `compose`, the oracle's enumeration), which
-`matched_pairs` matches on each call unless its text is the remembered one.
-The three are one tuple, consistent on its own, which is rebound and never
-changed, so a thread that reads it once needs no lock; a racing
-`matched_pairs` may put back an older text, which only costs a later miss.
+`parse` remembers the last valid text it read, if it has at most
+`_STORE_MAX_LENGTH` symbols, with its `Word` and, once `matched_pairs` is
+first asked for that text, its pairs, of which each later call gets a fresh
+list.  So `rank(parse(t))` then `decompose(parse(t))` checks and matches t
+once.  Nothing else is remembered: a `Word` built another way is matched on
+each call unless its text is the remembered one.  The three are one tuple,
+rebound and never changed, so a thread that reads it once needs no lock; a
+racing `matched_pairs` may put back an older text, which only costs a later
+miss.
 """
 
 from itertools import accumulate
@@ -52,12 +40,14 @@ _last: tuple = (object(), None, None)
 class Word:
     """A validated Motzkin word.  Immutable; construction checks balance.
 
-    The text lives in one private slot, `_text`, which only `__init__` (after
-    which `__post_init__` checks it) and `_balanced` set; `text` reads it
-    through a property with no setter or deleter.  So assigning or deleting
-    `text` raises `AttributeError`, and with no instance `__dict__` so does
-    setting any other attribute.  Pickling and copying go through `__reduce__`,
-    which builds the Word again from its text, so an unpickled text is checked.
+    A valid text passes at C speed: no symbol is left after deleting the
+    three, the running height never drops below 0, and the bracket counts
+    agree.  Only a failing text goes through the per-character loop, which
+    names the first error and its position.  The text lives in one private
+    slot, set only by `__init__` and `_balanced`, and is read through the
+    property `text`, which has no setter or deleter; with no instance
+    `__dict__`, no other attribute can be set.  Pickling and copying build
+    the Word again from its text, so an unpickled text is checked.
     """
 
     __slots__ = ("_text",)
@@ -119,11 +109,8 @@ class PrimeSegment(NamedTuple):
 
 
 def parse(text: str) -> Word:
-    """Validate a character string and return it as a Word.
-
-    The text parsed last, if it has at most `_STORE_MAX_LENGTH` symbols,
-    returns the same Word, unchecked.
-    """
+    """Validate a character string and return it as a Word; the text parsed
+    last returns the same Word, unchecked."""
     global _last
     last = _last
     if text == last[0]:
@@ -140,13 +127,8 @@ def is_umw(w: Word) -> bool:
 
 
 def matched_pairs(w: Word) -> list[tuple[int, int, int]]:
-    """All matched pairs of a word as plain (open_pos, close_pos, depth) tuples.
-
-    Pairs come in opening-bracket order.  Each '(' holds its slot with its
-    position until its ')' writes the triple there; depth counts the strictly
-    enclosing pairs, so a top-level pair has depth 0.  The pairs of the text
-    `parse` read last are matched once and copied on later calls.
-    """
+    """All matched pairs of a word as (open_pos, close_pos, depth) tuples, in
+    opening-bracket order; depth counts the strictly enclosing pairs."""
     global _last
     last, text = _last, w.text
     if text == last[0] and last[2] is not None:
@@ -166,23 +148,16 @@ def matched_pairs(w: Word) -> list[tuple[int, int, int]]:
 
 
 def prime_segments(w: Word) -> list[PrimeSegment]:
-    """Split a word into its prime segments.
-
-    Each segment starts at the '(' of a top-level pair and runs through the
-    last symbol before the next top-level '(' (the final segment takes the
-    rest of the word, trailing zeros included).  A word with no brackets has
-    no segments.
-    """
+    """A word's prime segments: each runs from the '(' of a top-level pair
+    through the last symbol before the next top-level '(', and the last takes
+    the rest of the word.  A word with no brackets has none."""
     starts = [a for a, _, depth in matched_pairs(w) if not depth]
     ends = [a - 1 for a in starts[1:]] + [len(w.text)]
     return [PrimeSegment(Word(w.text[a - 1:b]), a) for a, b in zip(starts, ends)]
 
 
 def compare_lex(a: Word, b: Word) -> int:
-    """Order words by length, then symbol-wise with '0' < '(' < ')'.
-
-    Returns -1, 0, or 1.
-    """
+    """-1, 0 or 1: words ordered by length, then symbol-wise with '0' < '(' < ')'."""
     ka = (len(a.text), a.text.translate(_SYMBOL_ORDER))
     kb = (len(b.text), b.text.translate(_SYMBOL_ORDER))
     return (ka > kb) - (ka < kb)

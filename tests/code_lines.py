@@ -1,11 +1,14 @@
-"""Code lines of each module of the package, the count `ROADMAP.md` tracks.
+"""Code lines and docstring lines of each module of the package, the counts
+`ROADMAP.md` tracks.
 
-Run as `python tests/code_lines.py`: it prints each module's count, largest
-first, and the total.  If its reader leaves early, it stops silently with
-exit 1, as the `motzkin` CLI does.  A code line is a physical line that
-holds a token of a statement, so every line of a multi-line statement
-counts, string lines included.  Blank lines, comment lines and the
-docstrings of modules, classes and functions do not.
+Run as `python tests/code_lines.py`: it prints each module's two counts,
+largest code count first, and the totals.  If its reader leaves early, it
+stops silently with exit 1, as the `motzkin` CLI does.  A code line is a
+physical line that holds a token of a statement, so every line of a
+multi-line statement counts, string lines included.  Blank lines, comment
+lines and the docstrings of modules, classes and functions do not.  A
+docstring line is a physical line that such a docstring spans, its blank
+lines included.
 """
 
 import ast
@@ -43,13 +46,22 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def docstring_lines(source: str) -> int:
+    """The number of lines the docstrings of a module's source span."""
+    return sum(end[0] - start[0] + 1 for start, end in _docstring_spans(ast.parse(source)))
+
+
 def main() -> int:
-    counts = {path.stem: code_lines(path.read_text(encoding="utf-8"))
-              for path in SRC.glob("*.py")}
+    counts = {}
+    for path in SRC.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        counts[path.stem] = code_lines(source), docstring_lines(source)
     try:
-        for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
-            print(f"{name:<12}{count:>5}")
-        print(f"{'total':<12}{sum(counts.values()):>5}")
+        print(f"{'module':<12}{'code':>5}{'docs':>6}")
+        for name, (code, docs) in sorted(counts.items(), key=lambda item: (-item[1][0], item[0])):
+            print(f"{name:<12}{code:>5}{docs:>6}")
+        code, docs = map(sum, zip(*counts.values()))
+        print(f"{'total':<12}{code:>5}{docs:>6}")
         sys.stdout.flush()  # a pipe that closes before this flush is caught below too
     except BrokenPipeError:  # the reader left: print nothing, and keep the exit-time flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
