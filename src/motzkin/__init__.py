@@ -1,16 +1,8 @@
 """Ordered Motzkin words: ranking, prime-pair weights, word arithmetic.
 
-Motzkin words without leading zeros form a numbered sequence under
-length-then-lexicographic order.  This package computes the rank of any
-word in closed form (each matched pair contributes a nest-weight set by
-its size, right-bracket offset, and depth), inverts the ranking, adds and
-subtracts non-touching words so that ranks add, and ships a brute-force
-enumeration oracle so every formula can be cross-checked.
-
-The formula side lives in `sequences`, `weights`, and `pair_arith`; the
-independent ground truth lives in `oracle`; `checks.run_checks` pits one
-against the other.  The same checks run from the command line:
-``motzkin verify --max-len 12``.
+The formula side is `sequences`, `weights` and `pair_arith`; `oracle`
+referees it, and `checks.run_checks`, behind ``motzkin verify``, pits one
+against the other.
 """
 
 from . import checks, errors, oracle, pair_arith, sequences, weights, word_model

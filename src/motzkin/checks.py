@@ -1,9 +1,5 @@
-"""One-shot cross-checks pitting the weight formulas against the oracle.
-
-Lives outside `oracle` on purpose: the oracle must not know about the
-formulas it referees.  The CLI `verify` subcommand is a thin adapter over
-`run_checks`.
-"""
+"""The cross-checks of the formulas against `oracle` behind ``motzkin verify``;
+they live here for the independence that `oracle` states."""
 
 from typing import NamedTuple
 
@@ -24,7 +20,8 @@ def _result(name: str, failures: list[str], detail: str) -> CheckResult:
 
 
 def run_checks(max_len: int) -> list[CheckResult]:
-    """Cross-validate formulas against brute force up to the given length."""
+    """One `CheckResult` per check, over the canonical words of every length up
+    to `max_len`."""
     last = oracle.enumerate_range(max_len)  # refuses a bad length before any work
     ranges = [oracle.enumerate_range(n) for n in range(1, max_len)] + [last]
     ordered = [w for words in ranges for w in words]

@@ -1,20 +1,15 @@
-"""Command-line surface.  Thin adapters only: parse arguments, call the
-library, print.  Words go on the command line as plain arguments; quote
-them, since shells treat parentheses specially.
+"""Command-line surface: parse arguments, call the library, print.
 
-A handler only prints and returns nothing; `main` owns every exit.  It
-returns 0 once the handler is done and stdout is flushed.  Every other end
-is an exception: argparse exits 2 on a usage error, a `MotzkinError` (a
-failed `verify` among them) or a `MemoryError` becomes one `error:` line on
-stderr and exit 1, a closed stdout pipe exits 1 silently, and Ctrl-C prints
-`error: interrupted` and exits 130.  That holds from the import of this
-module by `python -m motzkin` on, argument parsing included; a Ctrl-C
-during interpreter start-up or the package's own import is Python's.
-
-An error line shows an argument the way every message of the package does,
-through `errors.shown`: in full up to 80 characters, named past that.  So
-an integer argument is read only up to that length (`MAX_INTEGER_CHARS`),
-except the `unrank` index, which has its own bound."""
+A handler only prints; `main` owns every exit.  It returns 0 once stdout is
+flushed, argparse exits 2 on a usage error, a `MotzkinError` (a failed
+`verify` among them) or a `MemoryError` is one `error:` line on stderr and
+exit 1, a closed stdout pipe exits 1 silently, and Ctrl-C prints
+`error: interrupted` and exits 130 (tests/test_cli.py and
+tests/test_cli_process.py assert each).  That holds from this module's
+import by `python -m motzkin` on; a Ctrl-C during interpreter start-up or
+the package's own import is Python's.  An integer argument is read up to
+`MAX_INTEGER_CHARS`, the longest value `errors.shown` writes in full, and the
+`unrank` index up to `MAX_INDEX_DIGITS`."""
 
 import argparse
 import json
@@ -29,13 +24,14 @@ from .weights import MAX_COMPOSE_LENGTH
 # Table cell for derivative orders a pair cannot reach (k <= s).
 DASH = "–"
 
-# Largest `seq --upto` and `table --max-n`, about 2 s each on a 2-vCPU VM; both
-# grow faster than linearly: seq to 20 000 takes 13 s, table to 500 6 s.
+# Largest `seq --upto` and `table --max-n`: each bounds the time of one call,
+# which grows faster than linearly in it.
 MAX_SEQ_UPTO = 10_000
 MAX_TABLE_N = 300
 
-# Longest `unrank` index: above the ~62 530 digits of M_131071, the largest rank
-# `rank` prints for a word that fits in one Linux argument (131 071 characters).
+# Longest `unrank` index: more digits than any rank `rank` prints for a word that
+# fits in one Linux argument, as
+# tests/test_cli.py::test_unrank_index_past_the_int_str_limit_names_the_limit asserts.
 MAX_INDEX_DIGITS = 65_536
 
 _SEQUENCES = {

@@ -1,22 +1,15 @@
-"""Exception types raised by the motzkin package, and `shown`, the one rule
-for what a message shows of a caller's value.
-
-Ranks, indices and sizes reach the package at any magnitude, and Python
-refuses to write an int of more than 4300 digits by default, so a message
-that formatted such a value would raise a bare `ValueError` instead of its
-own error.  `shown` writes a value in full up to `MAX_SHOWN_CHARS`
-characters and names a longer one without writing it.
-"""
+"""The `MotzkinError` hierarchy, and `shown`, the one rule for what a
+message shows of a caller's value."""
 
 # Longest caller value a message shows in full.
 MAX_SHOWN_CHARS = 80
 
 
 def shown(value) -> str:
-    """`value` as a message shows it: text up to `MAX_SHOWN_CHARS` characters
-    as its repr, longer text by its length; an integer of up to
-    `MAX_SHOWN_CHARS` characters, sign included, in full, a longer one by
-    the bound alone, never through `str()`."""
+    """`value` as a message shows it: in full up to `MAX_SHOWN_CHARS`
+    characters (text as its repr, an integer with its sign), past that text
+    by its length and an integer by the bound alone.  A longer integer never
+    goes through `str()`, so no message trips Python's int-to-str limit."""
     if not isinstance(value, str):
         fits = -10 ** (MAX_SHOWN_CHARS - 1) < value < 10 ** MAX_SHOWN_CHARS
         return str(value) if fits else f"an integer of more than {MAX_SHOWN_CHARS} characters"
@@ -39,11 +32,8 @@ class IllegalCharacterError(MotzkinError):
 
 
 class UnbalancedError(MotzkinError):
-    """Parentheses do not balance.
-
-    ``position`` is the 1-based index of the first ')' that has no open
-    partner, or ``None`` when the word ends with unclosed '('.
-    """
+    """Parentheses do not balance: `position` is the index, counted from
+    one, of the first unmatched ')', or None for an unclosed '('."""
 
     def __init__(self, position: "int | None"):
         if position is None:

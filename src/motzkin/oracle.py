@@ -1,37 +1,25 @@
 """Brute-force ground truth: enumeration and counting from first principles.
 
-This module is the referee for the closed-form weight machinery, so it must
-stay independent of it: no imports from `weights` or `sequences`, ever.
-Everything here rests on two rules, each stated once:
-
-- The Motzkin triangle C(r, h) = C(r-1, h-1) + C(r-1, h) + C(r-1, h+1),
-  zero off the triangle (OEIS A026300): `completions` builds each row from
-  the row above padded with zeros.
-- A prefix stays completable while its height stays within 0..left, where
-  `left` counts the symbols still to come: `enumerate_range` places each
-  symbol that keeps it so.
-
-The triangle is a grow-only list of rows, each stored by a slice store at
-its own index, so threads growing it at once neither duplicate nor skip a
-row.
+The referee of the formula side, so it imports nothing from `sequences` or
+`weights` (`test_oracle_is_independent_of_the_formula_modules`).  The
+triangle is a grow-only list of rows, each stored by a slice store at its
+own index, so threads growing it at once neither duplicate nor skip a row.
 """
 
 from .errors import DomainViolationError, NotCanonicalError, RangeTooLargeError, shown
 from .word_model import CLOSE, OPEN, ZERO, Word, is_umw
 
-# Cumulative word counts grow roughly like 3^n; this keeps exhaustive runs
-# in the seconds range.
+# Longest words `enumerate_range` lists: word counts grow exponentially with
+# the length, so this bounds the time of an exhaustive run.
 MAX_ENUM_LENGTH = 16
 
 _completion_rows: list[list[int]] = [[1]]
 
 
 def completions(remaining: int, height: int) -> int:
-    """Number of length-`remaining` suffixes that close `height` opens.
-
-    Counts strings over {'0', '(', ')'} that keep the running balance
-    nonnegative and end at balance zero, starting from balance `height`.
-    """
+    """C(remaining, height), the suffixes of `remaining` symbols that close
+    `height` opens: each row is the row above, padded with zeros, under the
+    triangle rule C(r, h) = C(r-1, h-1) + C(r-1, h) + C(r-1, h+1)."""
     if remaining < 0 or height < 0:
         raise DomainViolationError("completions requires remaining >= 0 and height >= 0, "
                                    f"got ({shown(remaining)}, {shown(height)})")
@@ -45,13 +33,9 @@ def completions(remaining: int, height: int) -> int:
 
 
 def enumerate_range(n: int) -> list[Word]:
-    """All canonical words of length n, in lexicographic order.
-
-    Backtracking over balanced strings that start with '(' (the sole
-    length-1 word is "0"); each symbol whose new height stays within
-    0..left is placed, in the alphabet order '0' < '(' < ')', so the output
-    needs no sorting.
-    """
+    """All canonical words of length n, in order: each symbol, tried in the
+    order '0' < '(' < ')', is placed while the height stays within 0..left,
+    the symbols still to come."""
     if n < 1:
         raise DomainViolationError(f"enumerate_range requires n >= 1, got {shown(n)}")
     if n > MAX_ENUM_LENGTH:
@@ -78,12 +62,8 @@ def enumerate_range(n: int) -> list[Word]:
 
 
 def rank_by_counting(w: Word) -> int:
-    """Rank of a canonical word, by counting smaller words symbol-by-symbol.
-
-    All shorter canonical words come first (their total is completions(L-1, 0));
-    then, for each position, every lexicographically smaller same-length word
-    is counted through the completion table.  No weight formulas involved.
-    """
+    """Rank of a canonical word, counted: every shorter word, then at each
+    position every same-length word with a smaller symbol there."""
     if not is_umw(w):
         raise NotCanonicalError(f"{shown(w.text)} is not canonical")
     text = w.text

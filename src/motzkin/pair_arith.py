@@ -1,23 +1,12 @@
-"""Partial addition and subtraction of Motzkin words.
+"""Partial addition and subtraction of Motzkin words, right-aligned.
 
-Operands are right-aligned: the shorter word is padded with leading zeros,
-which leave its rank unchanged.  Zeros are transparent (0 + x = x per
-position); the operations are partial because two non-zero symbols can
-never share a position, and because the operands' top-level blocks must
-occupy pairwise disjoint intervals.  Mere symbol-disjointness is not
-enough: writing a block inside another pair's span would change that
-pair's nesting and break the guarantee rank(x (+) y) = rank(x) + rank(y).
-Nesting is a different operation and goes through the weight machinery.
-
-Both work on bit masks of the '(' and ')' positions, the last symbol at
-bit 0, so right-aligned operands line up unpadded; the leftmost clash is the
-highest set bit, and the result is rebuilt from its masks.  One rule then
-decides the rest: each top-level block of y must be a top-level block, with
-the same symbols, of the sum (`padd`) or of x (`psub`, where that is the
-definition).  In the sum, y's block is unchanged only where x has zeros, and
-is top-level only where x is at height 0, outside every pair span of x; so
-it holds exactly when no block of x meets a block of y.  The height before a
-block is 0 when the stretch since the previous block has as many '(' as ')'.
+The leading zeros that pad the shorter operand leave its rank unchanged.
+One block rule decides both operations: each top-level block of y must be a
+top-level block, symbol for symbol, of the sum (`padd`) or of x (`psub`).
+So no block lands inside another's pair span, no pair's nesting changes,
+and rank(x (+) y) = rank(x) + rank(y).  Both read a word as bit masks of its
+'(' and ')' positions, the last symbol lowest, so the leftmost clash is the
+highest set bit.
 """
 
 from .errors import (
@@ -46,8 +35,9 @@ def _word(opens: int, closes: int) -> Word:
 
 
 def _same_blocks(y: Word, text: str, width: int, error: type, fault: str) -> None:
-    """Raise `error` at the first top-level block of y, right-aligned, that is
-    not a top-level block of `text` with the same symbols."""
+    """Raise `error` at the first block of y, right-aligned on `text`, that
+    breaks the block rule.  A block of `text` is top-level where the stretch
+    since the previous block has as many '(' as ')'."""
     ytext = y.text
     shift, end = len(text) - len(ytext), 0
     for lo, hi, depth in matched_pairs(y):
@@ -61,7 +51,7 @@ def _same_blocks(y: Word, text: str, width: int, error: type, fault: str) -> Non
 
 
 def padd(x: Word, y: Word) -> Word:
-    """Merge two words whose blocks occupy disjoint intervals; ranks add."""
+    """The sum of two words under the block rule; ranks add."""
     width = max(len(x.text), len(y.text))
     (ox, cx), (oy, cy) = _masks(x), _masks(y)
     clash = (ox | cx) & (oy | cy)
@@ -73,12 +63,8 @@ def padd(x: Word, y: Word) -> Word:
 
 
 def psub(x: Word, y: Word) -> Word:
-    """Remove y's top-level blocks from x (inverse of `padd`).
-
-    Defined when y, right-aligned, carries only symbols x also carries,
-    and every block of y is exactly one of x's top-level blocks, contents
-    included.  Then rank(x) = rank(result) + rank(y).
-    """
+    """x without y's top-level blocks, the inverse of `padd`: y, right-aligned,
+    carries only symbols of x, and rank(x) = rank(result) + rank(y)."""
     width = max(len(x.text), len(y.text))
     (ox, cx), (oy, cy) = _masks(x), _masks(y)
     stray = (oy & ~ox) | (cy & ~cx)

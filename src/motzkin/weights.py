@@ -52,12 +52,12 @@ from .errors import (
 )
 from .word_model import CLOSE, OPEN, ZERO, Word, is_umw, matched_pairs
 
-# Longest word `compose` builds: about 2 s and linear in the length on a 2-vCPU VM.
+# Longest word `compose` builds: it bounds the time of one call, linear in the length.
 MAX_COMPOSE_LENGTH = 10_000_000
 
 # Bits of completion-table columns above column 0 that one call may grow.  A
 # call on a word of length L that would read column _cap(L) or higher walks
-# instead; 43 500 000 bits gives _cap(1000) = 55.
+# instead; test_the_deepest_words_walk_from_478_symbols_on pins _cap(1000) = 55.
 _WALK_BUDGET_BITS = 43_500_000
 
 

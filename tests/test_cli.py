@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 
 import pytest
@@ -217,7 +218,10 @@ def test_ranks_past_the_int_str_limit_print_exactly(capsys):
 
 
 def test_unrank_index_past_the_int_str_limit_names_the_limit(capsys):
-    # The CLI's own bound decides, not Python's digit limit.
+    # The CLI's own bound decides, not Python's digit limit.  It exceeds the
+    # digits of M_131071, since M_n < 3**n, so it admits the rank of any word
+    # that fits in one Linux argument (131 071 characters).
+    assert cli.MAX_INDEX_DIGITS > math.ceil(131_071 * math.log10(3)) == 62_537
     with pytest.raises(SystemExit) as exc:
         cli.main(["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)])
     assert exc.value.code == 2

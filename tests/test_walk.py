@@ -183,7 +183,9 @@ def test_unrank_walks_from_its_first_miss_and_grows_no_column_at_or_above_the_ca
 def test_the_deepest_words_walk_from_478_symbols_on(monkeypatch, empty_table):
     # The cap as shipped: below 478 symbols n // 2 + 1 < _cap(n), so even the
     # deepest word reads only stored columns; at 478 its innermost pair reaches
-    # _cap(478) = 240.
+    # the cap.
+    assert weights._cap(478) == 240
+    assert weights._cap(1000) == 55
     steps = _count_steps(monkeypatch)
     for length in range(470, 479):
         w = Word("(" * (length // 2) + ")" * (length // 2) + "0" * (length % 2))
