@@ -1,8 +1,9 @@
-"""Code lines and docstring lines of each module of the package, the counts
-`ROADMAP.md` tracks.
+"""Code lines and docstring lines of each module of the package, and of the
+tests, the counts `ROADMAP.md` tracks.
 
 Run as `python tests/code_lines.py`: it prints each module's two counts,
-largest code count first, and the totals.  If its reader leaves early, it
+largest code count first, the totals, and then one `tests` line, the two
+counts summed over `tests/*.py`.  If its reader leaves early, it
 stops silently with exit 1, as the `motzkin` CLI does.  A code line is a
 physical line that holds a token of a statement, so every line of a
 multi-line statement counts, string lines included.  Blank lines, comment
@@ -18,7 +19,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "motzkin"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "motzkin"
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -51,17 +53,21 @@ def docstring_lines(source: str) -> int:
     return sum(end[0] - start[0] + 1 for start, end in _docstring_spans(ast.parse(source)))
 
 
+def _counts(path: Path) -> tuple[int, int]:
+    source = path.read_text(encoding="utf-8")
+    return code_lines(source), docstring_lines(source)
+
+
 def main() -> int:
-    counts = {}
-    for path in SRC.glob("*.py"):
-        source = path.read_text(encoding="utf-8")
-        counts[path.stem] = code_lines(source), docstring_lines(source)
+    counts = {path.stem: _counts(path) for path in SRC.glob("*.py")}
+    tests = [_counts(path) for path in TESTS.glob("*.py")]
     try:
         print(f"{'module':<12}{'code':>5}{'docs':>6}")
         for name, (code, docs) in sorted(counts.items(), key=lambda item: (-item[1][0], item[0])):
             print(f"{name:<12}{code:>5}{docs:>6}")
-        code, docs = map(sum, zip(*counts.values()))
-        print(f"{'total':<12}{code:>5}{docs:>6}")
+        for name, rows in (("total", counts.values()), ("tests", tests)):
+            code, docs = map(sum, zip(*rows))
+            print(f"{name:<12}{code:>5}{docs:>6}")
         sys.stdout.flush()  # a pipe that closes before this flush is caught below too
     except BrokenPipeError:  # the reader left: print nothing, and keep the exit-time flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,8 +1,9 @@
 """Frozen answers: `rank`, `decompose` and `unrank` of 200 fixed words, and
 the completion table they leave, each summed up in one SHA-256 digest.
 
-The words come from this module's own `random.Random` and the stdlib alone,
-so they move only if this file does: 196 canonical words of 2 to 3000
+The words come from this module's own `random.Random`, drawn by
+`long_words.closable_word`, tier-1's one closable-word rule, so a change to
+that rule moves the answers digest: 196 canonical words of 2 to 3000
 symbols, each symbol picked uniformly among those after which the word can
 still close, then ()^700, (^700 )^700, (^1500 )^1500 and ()^2500.  `run`
 builds each with `Word(text)`, so `parse`'s memo plays no part, and calls
@@ -14,7 +15,8 @@ column they are asked for.
 The answers digest covers each call's answer: the rank in hex, every
 `decompose` entry and the `unrank` text.  The table digest covers each
 column's length after the whole run.  `python tests/frozen_answers.py`, with
-`motzkin` importable (`PYTHONPATH=src`), prints both on the shipped path.
+`src` on the import path as README's Tests section runs it, prints both on
+the shipped path.
 """
 
 import hashlib
@@ -23,20 +25,10 @@ import random
 from motzkin import sequences, weights
 from motzkin.word_model import Word
 
+from long_words import closable_word
+
 CALLS = ("rank", "decompose", "unrank")
 DEEPEST = "(" * 1500 + ")" * 1500  # left out at cap inf, where it would grow about 1500 columns
-
-
-def _random_word(rng: random.Random, n: int) -> str:
-    """A canonical word of n >= 2 symbols: '(' first, then each symbol picked
-    uniformly among those after which the word can still close."""
-    symbols, height = ["("], 1
-    for left in range(n - 2, -1, -1):
-        options = [(symbol, h) for symbol, h in (("0", height), ("(", height + 1),
-                                                 (")", height - 1)) if 0 <= h <= left]
-        symbol, height = rng.choice(options)
-        symbols.append(symbol)
-    return "".join(symbols)
 
 
 def frozen_words() -> list[str]:
@@ -44,7 +36,7 @@ def frozen_words() -> list[str]:
     rng = random.Random(2019)
     texts: dict[str, None] = {}
     while len(texts) < 196:
-        texts[_random_word(rng, rng.randint(2, 3000))] = None
+        texts[closable_word(rng.randint(2, 3000), rng.randrange)] = None
     return [*texts, "()" * 700, "(" * 700 + ")" * 700, DEEPEST, "()" * 2500]
 
 

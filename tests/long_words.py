@@ -1,20 +1,28 @@
-"""Random canonical words of hundreds of symbols, for the Hypothesis properties."""
+"""Tier-1's one closable-word rule, `closable_word`, and the random canonical
+words drawn by it: the Hypothesis properties', `word_texts` of
+`test_word_model.py` and the frozen words of `frozen_answers`."""
 
 from hypothesis import strategies as st
 
 
-def canonical_text(picks):
-    """A balanced canonical word as long as picks: '(' first, then any
-    symbol after which the word can still close, chosen by the pick."""
-    n = len(picks)
+def closable_word(n, pick):
+    """A word of n symbols: '(' first, then each symbol one of those, in the
+    order '0', '(', ')', after which the word can still close, the one at
+    index `pick(count)` of the `count` there are.  Canonical for n >= 2."""
     symbols, height = ["("], 1
-    for pos in range(1, n):
-        left = n - pos - 1
-        options = [(sym, h) for sym, h in (("0", height), ("(", height + 1), (")", height - 1))
-                   if 0 <= h <= left]
-        sym, height = options[picks[pos] % len(options)]
-        symbols.append(sym)
+    for left in range(n - 2, -1, -1):
+        options = [(symbol, h) for symbol, h in (("0", height), ("(", height + 1),
+                                                 (")", height - 1)) if 0 <= h <= left]
+        symbol, height = options[pick(len(options))]
+        symbols.append(symbol)
     return "".join(symbols)
+
+
+def canonical_text(picks):
+    """The closable word as long as picks, `picks[pos] % count` choosing the
+    symbol at each position after the first."""
+    later = iter(picks[1:])
+    return closable_word(len(picks), lambda count: next(later) % count)
 
 
 def canonical_texts(min_len=100, max_len=1000):

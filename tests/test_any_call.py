@@ -13,7 +13,7 @@ which grow a table with the caller's value, are not drawn here.
 import inspect
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from motzkin import oracle, pair_arith, sequences, weights, word_model
 from motzkin.errors import MotzkinError
@@ -93,21 +93,18 @@ def _short_error(call, *args):
 
 @pytest.mark.parametrize("function", list(_ARGUMENTS),
                          ids=lambda f: f"{f.__module__.rpartition('.')[2]}.{f.__name__}")
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_any_call_returns_or_raises_a_short_motzkin_error(function, data):
-    # fixtures run once per test, not per example, so each example empties the tables
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sequences, "_columns", [[1, 1]])
-        patch.setattr(oracle, "_completion_rows", [[1]])
-        patch.setattr(word_model, "_last", (object(), None, None))
-        args = []
-        for strategy in _ARGUMENTS[function]:
-            if strategy is _WORD:
-                arg = _short_error(word_model.Word, data.draw(_TEXT))
-                if isinstance(arg, MotzkinError):
-                    return
-            else:
-                arg = data.draw(strategy)
-            args.append(arg)
-        _short_error(function, *args)
+def test_any_call_returns_or_raises_a_short_motzkin_error(function, fresh_state, data):
+    fresh_state()  # fixtures run once per test, not per example
+    args = []
+    for strategy in _ARGUMENTS[function]:
+        if strategy is _WORD:
+            arg = _short_error(word_model.Word, data.draw(_TEXT))
+            if isinstance(arg, MotzkinError):
+                return
+        else:
+            arg = data.draw(strategy)
+        args.append(arg)
+    _short_error(function, *args)

@@ -30,7 +30,7 @@ def selftest(monkeypatch):
     return importlib.import_module("selftest")
 
 
-def test_traced_self_times_stay_within_span_durations(selftest, empty_store):
+def test_traced_self_times_stay_within_span_durations(selftest, fresh_state):
     # the smoke run counts `Word` checks, so its words must not be in `parse`'s store
     selftest.test_self_times_within_span_durations()
 
@@ -43,12 +43,9 @@ def test_benchmark_gate_counts_injected_wrong_answers(selftest):
     ("((00)0(0()))", False),
     ("(" * 239 + ")" * 239, True),  # its depth reaches the column cap of its length
 ], ids=["table", "walked"])
-def test_rank_and_decompose_match_pairs_once_through_the_global_name(monkeypatch, text, walked):
-    matched, weighed = [], []
-    match, weigh = weights.matched_pairs, weights.pair_nest_weight
-    monkeypatch.setattr(weights, "matched_pairs", lambda w: matched.append(w) or match(w))
-    monkeypatch.setattr(weights, "pair_nest_weight",
-                        lambda n, k, s: weighed.append(n) or weigh(n, k, s))
+def test_rank_and_decompose_match_pairs_once_through_the_global_name(record, text, walked):
+    matched = record(weights, "matched_pairs", lambda w: w)
+    weighed = record(weights, "pair_nest_weight", lambda n, k, s: n)
     w = parse(text)
     for call in (weights.rank, weights.decompose):
         matched.clear()

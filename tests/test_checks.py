@@ -54,7 +54,7 @@ def test_wrong_range_extrema_are_caught(monkeypatch, skew, detail):
 
 
 @pytest.mark.parametrize("r, h", [(9, 0), (7, 3)])
-def test_a_wrong_table_entry_is_caught_at_any_height(empty_table, r, h):
+def test_a_wrong_table_entry_is_caught_at_any_height(fresh_state, r, h):
     # the check reads every entry through row 20, growing what is missing, so
     # one run stores them all before one entry is skewed
     assert all(result.passed for result in checks.run_checks(6))
@@ -66,15 +66,8 @@ def test_a_wrong_table_entry_is_caught_at_any_height(empty_table, r, h):
 
 @pytest.mark.parametrize("max_len, error", [(17, RangeTooLargeError),
                                             (0, DomainViolationError)])
-def test_bad_lengths_are_refused_before_any_enumeration(monkeypatch, max_len, error):
-    lengths = []
-    true_enumerate = oracle.enumerate_range
-
-    def recorder(n):
-        lengths.append(n)
-        return true_enumerate(n)
-
-    monkeypatch.setattr(oracle, "enumerate_range", recorder)
+def test_bad_lengths_are_refused_before_any_enumeration(record, max_len, error):
+    lengths = record(oracle, "enumerate_range", lambda n: n)
     with pytest.raises(error):
         checks.run_checks(max_len)
     assert lengths == [max_len]

@@ -1,29 +1,19 @@
-import os
-import resource
 import signal
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from motzkin import sequences
 
-ROOT = Path(__file__).resolve().parent.parent
+from child_python import TIMEOUT, run_python, start_python
+
 GIB = 1 << 30
-
-
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (GIB, GIB))
 
 
 def test_rank_of_a_10000_symbol_word_prints_in_a_bounded_process():
     # The rank has 4766 digits, past the interpreter's default int-to-str
     # limit of 4300, and needs the Motzkin numbers up to M_10000.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-m", "motzkin", "rank", "()" * 5000],
-                          env=env, cwd=ROOT, capture_output=True, text=True,
-                          timeout=60, preexec_fn=_limit_memory)
+    proc = run_python("-m", "motzkin", "rank", "()" * 5000, memory=GIB)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     answer = proc.stdout.strip()
@@ -36,20 +26,13 @@ def test_rank_of_a_10000_symbol_word_prints_in_a_bounded_process():
         sys.set_int_max_str_digits(sys_limit)
 
 
-def _bounded_motzkin(*argv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-m", "motzkin", *argv],
-                          env=env, cwd=ROOT, capture_output=True, text=True,
-                          timeout=60, preexec_fn=_limit_memory)
-
-
 @pytest.mark.parametrize("argv", [
     # Both need the Motzkin numbers past 10^5 symbols: column 0 outgrows the limit.
     ["rank", "()" * 60_000],
     ["unrank", "7" * 60_000],  # past the interpreter's default digit limit
 ])
 def test_running_out_of_memory_is_a_one_line_error(argv):
-    proc = _bounded_motzkin(*argv)
+    proc = run_python("-m", "motzkin", *argv, memory=256 << 20)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
@@ -58,30 +41,29 @@ def test_running_out_of_memory_is_a_one_line_error(argv):
 def test_a_deep_4000_symbol_word_round_trips_in_a_bounded_process():
     # Its completion table would outgrow the limit; the walk keeps it in column 0.
     word = "(" * 2000 + ")" * 2000
-    ranked = _bounded_motzkin("rank", word)
+    ranked = run_python("-m", "motzkin", "rank", word, memory=GIB)
     assert ranked.returncode == 0, ranked.stderr
-    back = _bounded_motzkin("unrank", ranked.stdout.strip())
+    back = run_python("-m", "motzkin", "unrank", ranked.stdout.strip(), memory=GIB)
     assert back.returncode == 0, back.stderr
     assert back.stdout == word + "\n"
 
 
 def test_a_9543_digit_index_round_trips_in_a_bounded_process():
     index = "7" * 9543
-    word = _bounded_motzkin("unrank", index)  # past the interpreter's default digit limit
+    # past the interpreter's default digit limit
+    word = run_python("-m", "motzkin", "unrank", index, memory=GIB)
     assert word.returncode == 0, word.stderr
-    ranked = _bounded_motzkin("rank", word.stdout.strip())
+    ranked = run_python("-m", "motzkin", "rank", word.stdout.strip(), memory=GIB)
     assert ranked.returncode == 0, ranked.stderr
     assert ranked.stdout == index + "\n"
 
 
 def test_a_closed_stdout_pipe_ends_silently_with_exit_1():
     # About 1 MB of output: the child is still writing when the reader leaves.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.Popen([sys.executable, "-m", "motzkin", "enumerate", "--length", "14"],
-                            env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"(000000000000)\n"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
+    with start_python("-m", "motzkin", "enumerate", "--length", "14") as proc:
+        assert proc.stdout.readline() == b"(000000000000)\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=TIMEOUT)
     assert proc.returncode == 1
     assert err == b""
 
@@ -89,12 +71,10 @@ def test_a_closed_stdout_pipe_ends_silently_with_exit_1():
 def test_ctrl_c_is_a_one_line_error_with_exit_130():
     # The pipe is not drained, so the unbuffered child blocks in a write
     # until the signal comes.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"}
-    proc = subprocess.Popen([sys.executable, "-m", "motzkin", "table", "--max-n", "300"],
-                            env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"no\t")
-    proc.send_signal(signal.SIGINT)
-    _, err = proc.communicate(timeout=60)
+    with start_python("-m", "motzkin", "table", "--max-n", "300", PYTHONUNBUFFERED="1") as proc:
+        assert proc.stdout.readline().startswith(b"no\t")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=TIMEOUT)
     assert proc.returncode == 130
     assert err == b"error: interrupted\n"
 
@@ -113,18 +93,14 @@ class Interrupt:
 sys.meta_path.insert(0, Interrupt())
 runpy.run_module("motzkin", run_name="__main__", alter_sys=True)
 """
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", probe, "rank", "()"], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python("-c", probe, "rank", "()")
     assert proc.returncode == 130
     assert proc.stdout == ""
     assert proc.stderr == "error: interrupted\n"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     probe = "import sys, motzkin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """The rules of `code_lines` and `docstring_lines`, the counters of the
-package's tracked code and docstring lines, pinned on small sources (no total
-is pinned: it moves with the code)."""
+package's and the tests' tracked code and docstring lines, pinned on small
+sources (no total is pinned: it moves with the code), and the `tests` line
+that `code_lines.py` prints last."""
 
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from code_lines import code_lines, docstring_lines
+from code_lines import code_lines, docstring_lines, main
 
 
 @pytest.mark.parametrize("source, count, docs", [
@@ -29,6 +30,15 @@ from code_lines import code_lines, docstring_lines
 def test_code_lines_counts_statement_lines_and_skips_the_rest(source, count, docs):
     assert code_lines(source) == count
     assert docstring_lines(source) == docs
+
+
+def test_the_last_line_sums_both_counts_over_the_tests(capsys):
+    assert main() == 0
+    *_, total, tests = capsys.readouterr().out.splitlines()
+    sources = [path.read_text(encoding="utf-8") for path in Path(__file__).parent.glob("*.py")]
+    assert total.split()[0] == "total"
+    assert tests.split() == ["tests", str(sum(map(code_lines, sources))),
+                             str(sum(map(docstring_lines, sources)))]
 
 
 def test_a_closed_stdout_pipe_ends_silently_with_exit_1():

@@ -220,10 +220,8 @@ def test_psub_outcomes_match_a_per_position_scan_and_brute_force_spans(words_thr
     assert seen == {NotSubwordError, NotTopLevelError, Word}
 
 
-def test_each_operation_matches_the_pairs_of_the_right_operand_alone(monkeypatch):
-    calls = []
-    real = pair_arith.matched_pairs
-    monkeypatch.setattr(pair_arith, "matched_pairs", lambda w: calls.append(w) or real(w))
+def test_each_operation_matches_the_pairs_of_the_right_operand_alone(record):
+    calls = record(pair_arith, "matched_pairs", lambda w: w)
     x, y, z = parse("()0000000"), parse("(0())0"), parse("()0(0())0")
     for op, left, right in ((padd, x, y), (psub, z, y), (padd, parse("(000000)"), parse("()00000")),
                             (psub, parse("(()())"), parse("()0"))):

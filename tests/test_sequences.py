@@ -100,7 +100,7 @@ def test_paper_sequences_are_identities_of_the_completion_table():
         assert sequences.delta_prime(k) == c(k - 1, 2) + c(k - 1, 3)
 
 
-def test_concurrent_growth_neither_duplicates_nor_skips_rows(empty_table):
+def test_concurrent_growth_neither_duplicates_nor_skips_rows(fresh_state):
     top = 300
     errors = []
 
@@ -130,18 +130,18 @@ def test_concurrent_growth_neither_duplicates_nor_skips_rows(empty_table):
         assert column == [oracle.completions(r, h) for r in range(len(column))]
 
 
-def test_a_diagonal_read_grows_nothing(empty_table):
+def test_a_diagonal_read_grows_nothing(fresh_state):
     assert sequences.completions(200, 200) == 1
     assert sequences.completions(200, 201) == 0
     assert sequences._columns == [[1, 1]]
 
 
-def test_column_zero_holds_the_motzkin_numbers(empty_table):
+def test_column_zero_holds_the_motzkin_numbers(fresh_state):
     assert sequences.motzkin_number(300) == oracle.completions(300, 0)
     assert sequences._columns[0] == [oracle.completions(n, 0) for n in range(301)]
 
 
-def test_flat_words_grow_only_the_lowest_columns(empty_table):
+def test_flat_words_grow_only_the_lowest_columns(fresh_state):
     w = Word("()" * 2000)
     assert weights.unrank(weights.rank(w)) == w
     assert len(sequences._columns) <= 4
@@ -169,7 +169,7 @@ def test_growth_reads_only_the_new_rows_of_stored_columns(monkeypatch):
         assert column[:] == [oracle.completions(r, h) for r in range(len(column))]
 
 
-def test_growing_one_row_at_a_time_matches_the_oracle(empty_table):
+def test_growing_one_row_at_a_time_matches_the_oracle(fresh_state):
     rng = random.Random(300)
     for r in range(2, 301):
         for h in (0, 1, r % 7, r // 4, rng.randrange(r)):
@@ -195,7 +195,7 @@ def test_the_ballot_sum_matches_the_oracle_on_long_rows(monkeypatch):
         assert ballot_completions(1000, h) == oracle.completions(1000, h), (1000, h)
 
 
-def test_the_table_matches_the_ballot_sum_past_1000_rows(empty_table):
+def test_the_table_matches_the_ballot_sum_past_1000_rows(fresh_state):
     # past the oracle's reach: the referee holds no table and reads no `sequences`
     for r, heights in ((1000, (0, 5, 40)), (3000, (0, 3)), (10**4, (0, 1))):
         for h in heights:

@@ -19,7 +19,7 @@ def test_the_successor_follows_the_enumeration_through_length_12(words_through):
 
 
 @pytest.mark.parametrize("cap", [None, 0])  # as shipped, then every call walked
-def test_rank_and_unrank_step_to_the_successor_on_long_words(cap, empty_table, force_cap):
+def test_rank_and_unrank_step_to_the_successor_on_long_words(cap, fresh_state, force_cap):
     if cap is not None:
         force_cap(cap)
     rng = random.Random(29)

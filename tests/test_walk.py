@@ -9,13 +9,8 @@ and `ballot_sum` checks the walk's step at rows up to 10^4.
 """
 
 import math
-import os
 import random
-import resource
-import subprocess
-import sys
 from itertools import accumulate
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,26 +20,14 @@ from motzkin.weights import decompose, rank, unrank
 from motzkin.word_model import Word
 
 from ballot_sum import ballot_completions
+from child_python import run_python
 from long_words import canonical_text, canonical_texts
 
-ROOT = Path(__file__).resolve().parent.parent
 GIB = 1 << 30
 
 
 def _refuse(*args):
     raise AssertionError(f"called on the other path with {args}")
-
-
-def _count_steps(monkeypatch):
-    """The list that records the arguments of each later `sequences._step` call."""
-    steps, true_step = [], sequences._step
-
-    def counted(*args):
-        steps.append(args)
-        return true_step(*args)
-
-    monkeypatch.setattr(sequences, "_step", counted)
-    return steps
 
 
 def test_the_step_moves_the_state_one_symbol_down_the_path():
@@ -76,7 +59,7 @@ def test_the_walk_state_reads_no_column_above_its_height(monkeypatch):
 
 
 def test_walk_and_table_agree_on_every_word_through_length_12(
-        monkeypatch, empty_table, force_cap, words_through):
+        monkeypatch, fresh_state, force_cap, words_through):
     words = words_through(12)
     sides = []
     for cap, other_path in ((0, (weights, "pair_nest_weight")), (math.inf, (sequences, "_step"))):
@@ -98,7 +81,7 @@ def test_walk_and_table_agree_on_every_word_through_length_12(
 @settings(deadline=None, max_examples=25,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(canonical_texts())
-def test_walked_long_words_match_the_oracle_and_round_trip(force_cap, text):
+def test_walked_long_words_match_the_oracle_and_round_trip(force_cap, record, text):
     # fixtures run once per test, not per example, so each example empties the table
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sequences, "_columns", [[1, 1]])
@@ -107,7 +90,7 @@ def test_walked_long_words_match_the_oracle_and_round_trip(force_cap, text):
         r = rank(w)
         d = decompose(w)
         assert r == d.total == oracle.rank_by_counting(w)
-        steps = _count_steps(patch)
+        steps = record(sequences, "_step", patch=patch)
         assert unrank(r) == w
         assert len(steps) == len(text) - 1  # walked from its first symbol
         force_cap(math.inf)  # a weight in the wrong slot keeps the total right
@@ -116,16 +99,10 @@ def test_walked_long_words_match_the_oracle_and_round_trip(force_cap, text):
 
 @pytest.mark.parametrize("cap", [2, 3, 5])
 def test_unrank_hands_over_mid_word_and_no_call_grows_the_cap_column(
-        cap, monkeypatch, empty_table, force_cap):
+        cap, fresh_state, force_cap, record):
     force_cap(cap)
-    handovers = []
-    true_walk = weights._unrank_walk
-
-    def recorded(symbols, offset, left, *state):
-        handovers.append((len(symbols), left))
-        return true_walk(symbols, offset, left, *state)
-
-    monkeypatch.setattr(weights, "_unrank_walk", recorded)
+    handovers = record(weights, "_unrank_walk",
+                       lambda symbols, offset, left, *state: (len(symbols), left))
     rng = random.Random(cap)
     texts = [canonical_text([rng.randrange(6) for _ in range(n)]) for n in (30, 80, 200)]
     # the last word's deepest pair, at depth cap - 2, reads column cap at row cap + 1
@@ -148,7 +125,7 @@ def _column_lengths():
 
 
 def test_unrank_reads_columns_another_call_stored_at_or_above_the_cap(
-        monkeypatch, empty_table, force_cap):
+        monkeypatch, fresh_state, force_cap):
     sequences.completions(60, 8)  # columns 0 .. 8 through row 60 or more
     lengths = _column_lengths()
     force_cap(3)
@@ -163,30 +140,23 @@ def test_unrank_reads_columns_another_call_stored_at_or_above_the_cap(
     ("(" + "0" * 30 + "((0))" + ")", 34),  # column 3 holds row 4; the ')' misses column 4
 ])
 def test_unrank_walks_from_its_first_miss_and_grows_no_column_at_or_above_the_cap(
-        text, first_miss, monkeypatch, empty_table, force_cap):
+        text, first_miss, fresh_state, force_cap, record):
     sequences.completions(5, 3)  # column 3 through row 5 only
     lengths = _column_lengths()
     force_cap(3)
-    handovers = []
-    true_walk = weights._unrank_walk
-
-    def recorded(symbols, *state):
-        handovers.append(len(symbols))
-        return true_walk(symbols, *state)
-
-    monkeypatch.setattr(weights, "_unrank_walk", recorded)
+    handovers = record(weights, "_unrank_walk", lambda symbols, *state: len(symbols))
     assert unrank(oracle.rank_by_counting(Word(text))).text == text
     assert handovers == [first_miss]
     assert _column_lengths()[3:] == lengths[3:]
 
 
-def test_the_deepest_words_walk_from_478_symbols_on(monkeypatch, empty_table):
+def test_the_deepest_words_walk_from_478_symbols_on(fresh_state, record):
     # The cap as shipped: below 478 symbols n // 2 + 1 < _cap(n), so even the
     # deepest word reads only stored columns; at 478 its innermost pair reaches
     # the cap.
     assert weights._cap(478) == 240
     assert weights._cap(1000) == 55
-    steps = _count_steps(monkeypatch)
+    steps = record(sequences, "_step")
     for length in range(470, 479):
         w = Word("(" * (length // 2) + ")" * (length // 2) + "0" * (length % 2))
         r = oracle.rank_by_counting(w)
@@ -202,7 +172,7 @@ def test_the_deepest_words_walk_from_478_symbols_on(monkeypatch, empty_table):
             assert 0 not in counts
 
 
-def test_each_column_above_0_stays_under_its_share_of_the_budget_across_calls(empty_table):
+def test_each_column_above_0_stays_under_its_share_of_the_budget_across_calls(fresh_state):
     # Column c grows only for words with _cap(L) > c, so it holds at most
     # _WALK_BUDGET_BITS / c bits whichever calls grew it: a deep table-path
     # word for every cap from _cap(2000) to _cap(478), then random words.
@@ -219,17 +189,9 @@ def test_each_column_above_0_stays_under_its_share_of_the_budget_across_calls(em
         assert sum(x.bit_length() for x in column) * c < weights._WALK_BUDGET_BITS, c
 
 
-def _run_under(limit, probe):
-    """Runs the probe in a fresh process whose address space is capped at limit bytes."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=60,
-                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-
-
 def test_a_deep_word_of_10000_symbols_stays_under_1_gib():
     # The table path would grow about 25 GB of columns for this word.
-    proc = _run_under(GIB, """
+    proc = run_python("-c", """
 from motzkin import sequences, weights
 from motzkin.word_model import Word
 
@@ -240,7 +202,7 @@ assert d.total == r and len(d.entries) == 5000
 assert sequences.motzkin_number(9999) <= r < sequences.motzkin_number(10000)
 assert weights.unrank(r) == w
 print(len(sequences._columns))
-""")
+""", memory=GIB)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
 
@@ -248,7 +210,7 @@ print(len(sequences._columns))
 def test_a_flat_word_of_40000_symbols_walks_under_350_mb():
     # Column 0 holds about 176 MB here and the weights about 80 MB; a term
     # kept per symbol, as much again as column 0, would not fit.
-    proc = _run_under(350 << 20, """
+    proc = run_python("-c", """
 from motzkin import sequences, weights
 from motzkin.word_model import Word
 
@@ -257,6 +219,6 @@ r = weights.rank(w)
 d = weights.decompose(w)
 assert d.total == r and len(d.entries) == 20000
 print(len(sequences._columns))
-""")
+""", memory=350 << 20)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"

@@ -159,7 +159,7 @@ def test_unrank_rejects_negative_index():
         unrank(-10**5000)
 
 
-def test_unrank_reports_an_inconsistent_table(empty_table):
+def test_unrank_reports_an_inconsistent_table(fresh_state):
     # one stored count off by one makes some walks end off the word; the
     # check after the walk turns that into a MotzkinError naming the index,
     # and no index may raise anything else
@@ -188,17 +188,13 @@ def test_unrank_of_long_words_is_a_valid_word(text):
 
 
 def test_unrank_calls_completions_above_height_0_only_at_its_one_hand_over(
-        monkeypatch, force_cap):
+        monkeypatch, force_cap, record):
     # the walk reads `_columns` directly and calls `_grow` on a miss below the
     # cap; the length search reads column 0 through `completions`, and a
     # hand-over to the table-free walk reads its start through `_walk_state`,
     # from entries already stored
-    calls, handovers = [], []
-    true_completions, true_walk_state = sequences.completions, sequences._walk_state
-
-    def recorded(remaining, height):
-        calls.append((remaining, height))
-        return true_completions(remaining, height)
+    calls, handovers = record(sequences, "completions"), []
+    true_walk_state = sequences._walk_state
 
     def lengths():
         return [len(column) for column in sequences._columns]
@@ -209,7 +205,6 @@ def test_unrank_calls_completions_above_height_0_only_at_its_one_hand_over(
         handovers.append((r, h, calls[start:], before, lengths()))
         return state
 
-    monkeypatch.setattr(sequences, "completions", recorded)
     monkeypatch.setattr(sequences, "_walk_state", walk_state)
     rng = random.Random(13)
     deep = "(" * 300 + ")" * 300  # depth 300 reaches _cap(600) = 152
@@ -289,14 +284,8 @@ def test_decompose_worked_examples():
     assert decompose(parse("0")) == Decomposition(1, (), 0)
 
 
-def test_decompose_weighs_each_pair_once_in_opening_order(monkeypatch, words_through):
-    calls = []
-
-    def recorded(n, k, s):
-        calls.append((n, k, s))
-        return pair_nest_weight(n, k, s)
-
-    monkeypatch.setattr(weights, "pair_nest_weight", recorded)
+def test_decompose_weighs_each_pair_once_in_opening_order(record, words_through):
+    calls = record(weights, "pair_nest_weight")
     for text in _weighing_texts(words_through):
         w = parse(text)
         calls.clear()
@@ -507,7 +496,7 @@ def _random_canonical_text(rng, n):
     return canonical_text([rng.randrange(6) for _ in range(n)])
 
 
-def test_direct_reads_from_an_empty_table_agree_across_threads(empty_table):
+def test_direct_reads_from_an_empty_table_agree_across_threads(fresh_state):
     rng = random.Random(2024)
     jobs = []
     for _ in range(8):

@@ -1,13 +1,10 @@
 import copy
 import inspect
-import os
 import pickle
 import random
-import subprocess
 import sys
 import threading
 from itertools import accumulate, product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,30 +27,18 @@ from motzkin.errors import (
     UnbalancedError,
 )
 
-from long_words import canonical_text, canonical_texts
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from child_python import run_python
+from long_words import canonical_text, canonical_texts, closable_word
 
 
 @st.composite
 def word_texts(draw, max_len=40):
-    """Random valid words, leading zeros allowed."""
+    """Random valid words: leading zeros, then a canonical word."""
     n = draw(st.integers(min_value=1, max_value=max_len))
-    chars = []
-    height = 0
-    for pos in range(n):
-        left = n - pos - 1
-        options = []
-        if height <= left:
-            options.append("0")
-        if height + 1 <= left:
-            options.append("(")
-        if height > 0:
-            options.append(")")
-        char = draw(st.sampled_from(options))
-        chars.append(char)
-        height += 1 if char == "(" else (-1 if char == ")" else 0)
-    return "".join(chars)
+    zeros = draw(st.integers(min_value=0, max_value=n - 1))
+    if zeros == n - 1:  # the canonical word "0"
+        return "0" * n
+    return "0" * zeros + closable_word(n - zeros, lambda count: draw(st.integers(0, count - 1)))
 
 
 @pytest.mark.parametrize("text", ["(0())0", "0", "()0(0())0", "000", "((00)0(0()))"])
@@ -343,17 +328,9 @@ def test_none_and_the_empty_text_raise_before_and_after_any_parse():
               "        print('empty')\n"
               "    else:\n"
               "        print(w.text)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["empty", "empty", "(0)", "empty", "empty"]
-
-
-def _count_checks(monkeypatch):
-    checked = []
-    check = Word.__post_init__
-    monkeypatch.setattr(Word, "__post_init__", lambda self: checked.append(self.text) or check(self))
-    return checked
 
 
 def _plant_pairs(planted):
@@ -363,8 +340,8 @@ def _plant_pairs(planted):
     word_model._last = (text, w, planted)
 
 
-def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(empty_store, monkeypatch):
-    checked = _count_checks(monkeypatch)
+def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(fresh_state, record):
+    checked = record(Word, "__post_init__", lambda self: self.text)
     w = parse("((00)0(0()))")
     assert parse("((00)0(0()))") is w
     assert checked == ["((00)0(0()))"]
@@ -381,9 +358,9 @@ def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(empty_st
     assert checked == ["((00)0(0()))", "((00)0(0()))"]
 
 
-def test_rank_unrank_decompose_checks_and_matches_the_text_once(empty_store, monkeypatch):
+def test_rank_unrank_decompose_checks_and_matches_the_text_once(fresh_state, record):
     # the order of the benchmark's word items: rank(parse(t)), unrank(r), decompose(parse(t))
-    checked = _count_checks(monkeypatch)
+    checked = record(Word, "__post_init__", lambda self: self.text)
     t = "((00)0(0()))"
     r = weights.rank(parse(t))
     assert weights.unrank(r).text == t
@@ -393,9 +370,9 @@ def test_rank_unrank_decompose_checks_and_matches_the_text_once(empty_store, mon
     assert checked == [t]
 
 
-def test_padd_then_psub_checks_and_matches_the_right_operand_once(empty_store, monkeypatch):
+def test_padd_then_psub_checks_and_matches_the_right_operand_once(fresh_state, record):
     # the order of the benchmark's pair items: padd(parse(x), parse(y)), psub(z, parse(y))
-    checked = _count_checks(monkeypatch)
+    checked = record(Word, "__post_init__", lambda self: self.text)
     x, y = "(0)0000", "(())"
     z = padd(parse(x), parse(y))
     assert z.text == "(0)(())"
@@ -407,7 +384,7 @@ def test_padd_then_psub_checks_and_matches_the_right_operand_once(empty_store, m
     assert checked == [x, y]
 
 
-def test_mutating_the_pairs_returned_changes_no_later_answer(empty_store):
+def test_mutating_the_pairs_returned_changes_no_later_answer(fresh_state):
     w = parse("(0())0")
     for _ in range(3):
         pairs = matched_pairs(w)
@@ -420,7 +397,7 @@ def test_mutating_the_pairs_returned_changes_no_later_answer(empty_store):
 
 @pytest.mark.parametrize("text, error", [
     ("", EmptyInputError), ("(()", UnbalancedError), ("(x)", IllegalCharacterError)])
-def test_a_failing_text_raises_on_every_parse_and_is_never_stored(empty_store, text, error):
+def test_a_failing_text_raises_on_every_parse_and_is_never_stored(fresh_state, text, error):
     empty = word_model._last
     for _ in range(3):
         with pytest.raises(error):
@@ -428,7 +405,7 @@ def test_a_failing_text_raises_on_every_parse_and_is_never_stored(empty_store, t
     assert word_model._last is empty
 
 
-def test_only_the_last_text_is_remembered(empty_store):
+def test_only_the_last_text_is_remembered(fresh_state):
     for n in range(1000):
         text = "(" + "0" * n + ")"
         w = parse(text)
@@ -439,16 +416,13 @@ def test_only_the_last_text_is_remembered(empty_store):
 
 @pytest.mark.parametrize("bound", [65_536, 12])
 def test_a_text_past_the_length_bound_is_checked_and_matched_on_every_call(
-        empty_store, monkeypatch, bound):
+        fresh_state, monkeypatch, record, bound):
     # The real bound, and a small one to check ranks past it too.  Only small
     # values are compared: a failing comparison of the remembered tuple itself
     # would have pytest pretty-print tens of thousands of pairs.
     assert word_model._STORE_MAX_LENGTH == 65_536
     monkeypatch.setattr(word_model, "_STORE_MAX_LENGTH", bound)
-    checked = []
-    check = Word.__post_init__
-    monkeypatch.setattr(Word, "__post_init__",
-                        lambda self: checked.append(len(self.text)) or check(self))
+    checked = record(Word, "__post_init__", lambda self: len(self.text))
     rng = random.Random(bound)
     at, past = (canonical_text(rng.randbytes(n)) for n in (bound, bound + 1))
     stored, pairs = parse(at), tuple(_pairs_by_scanning(at))
@@ -465,7 +439,7 @@ def test_a_text_past_the_length_bound_is_checked_and_matched_on_every_call(
     assert checked == [bound, bound + 1, bound + 1]
 
 
-def test_words_built_without_parse_are_never_stored(empty_store):
+def test_words_built_without_parse_are_never_stored(fresh_state):
     weighed = parse("(0)")
     assert weights.rank(weighed) == 2
     parse("(" * 30 + ")" * 30)
@@ -481,7 +455,7 @@ def test_words_built_without_parse_are_never_stored(empty_store):
 
 
 def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_oracle(
-        empty_store):
+        fresh_state):
     rng = random.Random(17)
     shared = [canonical_text(rng.randbytes(n)) for n in (40, 90, 150)]
     jobs = [shared + [canonical_text(rng.randbytes(rng.randrange(20, 160))) for _ in range(6)]
