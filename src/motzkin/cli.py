@@ -22,7 +22,7 @@ from .errors import MAX_SHOWN_CHARS as MAX_INTEGER_CHARS, MotzkinError, shown
 from .weights import MAX_COMPOSE_LENGTH
 
 # Table cell for derivative orders a pair cannot reach (k <= s).
-DASH = "–"
+DASH = "-"
 
 # Largest `seq --upto` and `table --max-n`: each bounds the time of one call,
 # which grows faster than linearly in it.

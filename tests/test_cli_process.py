@@ -68,6 +68,14 @@ def test_a_closed_stdout_pipe_ends_silently_with_exit_1():
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [["table", "--max-n", "4"], ["--help"]])
+def test_an_ascii_stdout_takes_all_the_cli_prints(argv):
+    with start_python("-m", "motzkin", *argv, PYTHONIOENCODING="ascii") as proc:
+        out, err = proc.communicate(timeout=TIMEOUT)
+    assert proc.returncode == 0
+    assert out and err == b""
+
+
 def test_ctrl_c_is_a_one_line_error_with_exit_130():
     # The pipe is not drained, so the unbuffered child blocks in a write
     # until the signal comes.

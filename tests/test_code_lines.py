@@ -41,7 +41,7 @@ def test_the_last_line_sums_both_counts_over_the_tests(capsys):
                              str(sum(map(docstring_lines, sources)))]
 
 
-def test_a_closed_stdout_pipe_ends_silently_with_exit_1():
+def test_the_counter_ends_silently_with_exit_1_on_a_closed_stdout_pipe():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the first line
     try:

@@ -3,7 +3,7 @@ from types import FunctionType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motzkin import pair_arith, word_model
+from motzkin import oracle, pair_arith, word_model
 from motzkin.errors import (
     IntersectsError,
     MotzkinError,
@@ -78,7 +78,7 @@ def test_psub_block_contents_must_match():
 
 
 def test_identities_exhaustively(words_through):
-    for x in words_through(8):
+    for x in words_through(10):
         assert padd(x, ZERO_WORD) == x
         assert padd(ZERO_WORD, x) == x
         assert psub(x, ZERO_WORD) == x
@@ -87,13 +87,15 @@ def test_identities_exhaustively(words_through):
 
 def test_defined_applications_roundtrip(words_through):
     seen = 0
-    for z in words_through(8):
+    for z in words_through(10):
+        rank_z = oracle.rank_by_counting(z)
         for x, y in defined_applications(z):
             for out, expected in ((padd(x, y), z), (padd(y, x), z), (psub(z, x), y),
                                   (psub(z, y), x)):
                 assert out == expected and Word(out.text) == out
+            assert oracle.rank_by_counting(x) + oracle.rank_by_counting(y) == rank_z
             seen += 1
-    assert seen == 231  # sum over words of 2^(top blocks - 1) - 1
+    assert seen == 2289  # sum over words of 2^(top blocks - 1) - 1
 
 
 def test_leading_zeros_on_operands_do_not_matter(words_through):
@@ -136,88 +138,54 @@ def _top_spans_by_brute_force(text):
     return spans
 
 
-def test_block_check_matches_a_pairwise_span_check(words_through):
-    words = words_through(8)
-    for x in words:
-        for y in words:
-            n = max(len(x), len(y))
-            a, b = x.text.rjust(n, "0"), y.text.rjust(n, "0")
-            if any(ca != "0" != cb for ca, cb in zip(a, b)):
-                expected = IntersectsError
-            elif any(not (pa[1] < pb[0] or pb[1] < pa[0])
-                     for pa in _top_spans_by_brute_force(a)
-                     for pb in _top_spans_by_brute_force(b)):
-                expected = NestedOperandsError
-            else:
-                expected = None
-            try:
-                padd(x, y)
-                outcome = None
-            except MotzkinError as exc:
-                outcome = type(exc)
-            assert outcome is expected, (x, y)
+def _expected(op, x, y):
+    """op(x, y) by brute force, as (error type, position) or (Word, result):
+    a per-position scan for a clash (padd) or a stray symbol (psub), then
+    the top-level spans of both operands, then the symbol-wise merge."""
+    n = max(len(x), len(y))
+    a, b = x.text.rjust(n, "0"), y.text.rjust(n, "0")
+    pairs = list(zip(a, b))
+    if op is padd:
+        clash = [pos for pos, (ca, cb) in enumerate(pairs, start=1) if ca != "0" != cb]
+        if clash:
+            return IntersectsError, clash[0]
+        a_spans, b_spans = _top_spans_by_brute_force(a), _top_spans_by_brute_force(b)
+        if any(not (pa[1] < pb[0] or pb[1] < pa[0]) for pa in a_spans for pb in b_spans):
+            return NestedOperandsError, None
+        merged = "".join(ca if cb == "0" else cb for ca, cb in pairs)
+    else:
+        stray = [pos for pos, (ca, cb) in enumerate(pairs, start=1) if cb not in ("0", ca)]
+        if stray:
+            return NotSubwordError, stray[0]
+        x_spans = _top_spans_by_brute_force(a)
+        if any((lo, hi) not in x_spans or a[lo - 1:hi] != b[lo - 1:hi]
+               for lo, hi in _top_spans_by_brute_force(b)):
+            return NotTopLevelError, None
+        merged = "".join(ca if cb == "0" else "0" for ca, cb in pairs)
+    return Word, Word(merged.lstrip("0") or "0")
 
 
-def _bad_positions(x, y, bad):
-    """Every right-aligned position where bad(symbol of x, symbol of y) holds."""
-    n = max(len(x.text), len(y.text))
-    pairs = zip(x.text.rjust(n, "0"), y.text.rjust(n, "0"))
-    return [pos for pos, (cx, cy) in enumerate(pairs, start=1) if bad(cx, cy)]
-
-
-def _clash(cx, cy):
-    return cx != "0" and cy != "0"
-
-
-def _stray(cx, cy):
-    return cy != "0" and cy != cx
-
-
-_CHECKS = {padd: (IntersectsError, _clash), psub: (NotSubwordError, _stray)}
-
-
-def _raised_position(op, x, y):
+def _outcome(op, x, y):
+    """op(x, y) in the shape of `_expected`; a result word must pass the check."""
     try:
-        op(x, y)
-    except _CHECKS[op][0] as exc:
-        return exc.position
-    except MotzkinError:
-        pass
-    return None
+        out = op(x, y)
+    except MotzkinError as exc:
+        return type(exc), getattr(exc, "position", None)
+    assert Word(out.text) == out
+    return Word, out
 
 
-def test_clash_positions_match_a_per_position_scan(words_through):
-    words = words_through(8)
-    for x in words:
-        for y in words:
-            for op, (_, bad) in _CHECKS.items():
-                first = next(iter(_bad_positions(x, y, bad)), None)
-                assert _raised_position(op, x, y) == first, (op.__name__, x, y)
-
-
-def test_psub_outcomes_match_a_per_position_scan_and_brute_force_spans(words_through):
+def test_both_operations_match_a_brute_force_reference_on_every_pair(words_through):
     words = words_through(8)
     seen = set()
     for x in words:
         for y in words:
-            n = max(len(x), len(y))
-            a, b = x.text.rjust(n, "0"), y.text.rjust(n, "0")
-            x_spans = _top_spans_by_brute_force(a)
-            if _bad_positions(x, y, _stray):
-                expected = NotSubwordError
-            elif any((lo, hi) not in x_spans or a[lo - 1:hi] != b[lo - 1:hi]
-                     for lo, hi in _top_spans_by_brute_force(b)):
-                expected = NotTopLevelError
-            else:
-                kept = "".join(ca if cb == "0" else "0" for ca, cb in zip(a, b))
-                expected = Word(kept.lstrip("0") or "0")
-            try:
-                outcome = psub(x, y)
-            except MotzkinError as exc:
-                outcome = type(exc)
-            assert outcome == expected, (x, y)
-            seen.add(expected if isinstance(expected, type) else Word)
-    assert seen == {NotSubwordError, NotTopLevelError, Word}
+            for op in (padd, psub):
+                expected = _expected(op, x, y)
+                assert _outcome(op, x, y) == expected, (op.__name__, x, y)
+                seen.add((op, expected[0]))
+    assert seen == {(padd, IntersectsError), (padd, NestedOperandsError), (padd, Word),
+                    (psub, NotSubwordError), (psub, NotTopLevelError), (psub, Word)}
 
 
 def test_each_operation_matches_the_pairs_of_the_right_operand_alone(record):
@@ -255,8 +223,8 @@ _W = 2000
 ])
 def test_long_operands_clash_only_at_one_end(op, x, y, position):
     x, y = Word(x), Word(y)
-    assert _bad_positions(x, y, _CHECKS[op][1]) == [position]
-    assert _raised_position(op, x, y) == position
+    error = IntersectsError if op is padd else NotSubwordError
+    assert _outcome(op, x, y) == _expected(op, x, y) == (error, position)
 
 
 @st.composite

@@ -17,40 +17,23 @@ DELTA = [0, 1, 3, 8, 21, 55, 145, 385, 1030, 2775, 7525, 20526, 56288]
 DELTA_PRIME = [0, 1, 4, 13, 39, 113, 322, 910, 2562, 7203, 20251, 56980, 160524]
 
 
-def test_motzkin_reference_values():
-    assert [sequences.motzkin_number(n) for n in range(15)] == MOTZKIN
-
-
-@pytest.mark.parametrize("n, expected", [(0, 1), (1, 1), (3, 4), (9, 835), (11, 5798)])
-def test_motzkin_spot_values(n, expected):
+@pytest.mark.parametrize("n, expected", enumerate(MOTZKIN))
+def test_motzkin_reference_values(n, expected):
     assert sequences.motzkin_number(n) == expected
 
 
-def test_unique_count_reference_values():
-    assert [sequences.unique_count(n) for n in range(1, 15)] == UNIQUE
-
-
-@pytest.mark.parametrize("n, expected", [(1, 1), (4, 5), (11, 3610)])
-def test_unique_count_spot_values(n, expected):
+@pytest.mark.parametrize("n, expected", enumerate(UNIQUE, start=1))
+def test_unique_count_reference_values(n, expected):
     assert sequences.unique_count(n) == expected
 
 
-def test_delta_reference_values():
-    assert [sequences.delta(k) for k in range(1, 14)] == DELTA
-
-
-@pytest.mark.parametrize("k, expected", [(1, 0), (3, 3), (8, 385)])
-def test_delta_spot_values(k, expected):
-    # 385 is U_9 - M_7 = 512 - 127
+@pytest.mark.parametrize("k, expected", enumerate(DELTA, start=1))
+def test_delta_reference_values(k, expected):
     assert sequences.delta(k) == expected
 
 
-def test_delta_prime_reference_values():
-    assert [sequences.delta_prime(k) for k in range(2, 15)] == DELTA_PRIME
-
-
-@pytest.mark.parametrize("k, expected", [(2, 0), (4, 4), (8, 322)])
-def test_delta_prime_spot_values(k, expected):
+@pytest.mark.parametrize("k, expected", enumerate(DELTA_PRIME, start=2))
+def test_delta_prime_reference_values(k, expected):
     assert sequences.delta_prime(k) == expected
 
 

