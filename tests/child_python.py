@@ -1,8 +1,8 @@
 """The one way tier-1 starts the package in a child interpreter: this
 interpreter's executable, `src` on `PYTHONPATH`, the repository root as the
 working directory, a timeout of `TIMEOUT` seconds, and, if asked, an
-address-space limit.  `test_child_python.py` checks that no other test module
-sets `PYTHONPATH` or `RLIMIT_AS` itself.
+address-space limit.  `test_one_place_helpers.py` checks that no other test
+module sets `PYTHONPATH` or `RLIMIT_AS` itself.
 """
 
 import os

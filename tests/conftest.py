@@ -1,8 +1,12 @@
-"""Tier-1's shared fixtures.  The other shared helpers are modules:
+"""Tier-1's shared fixtures: the fresh state, the forced cap, the call
+recorder and the thread race.  The other shared helpers are modules:
 `child_python` starts the package in a child interpreter, `long_words` draws
 canonical words by the one closable-word rule, and `frozen_answers` holds the
 frozen words and their digests.
 """
+
+import sys
+import threading
 
 import pytest
 
@@ -27,13 +31,15 @@ def words_through():
 def fresh_state(monkeypatch):
     """The state a fresh process starts with: empty `sequences` and `oracle`
     tables and no text remembered by `parse`; the old state comes back after
-    the test.  Returns the reset, for a Hypothesis test to start each example
-    fresh too."""
+    the test.  Returns the reset of the `sequences` table and of `parse`, for
+    a test to start each word or Hypothesis example fresh too.  The reset
+    keeps the oracle's rows, which any call only extends, so that a referee
+    call does not rebuild them each time."""
     def reset():
         monkeypatch.setattr(sequences, "_columns", [[1, 1]])
-        monkeypatch.setattr(oracle, "_completion_rows", [[1]])
         monkeypatch.setattr(word_model, "_last", (object(), None, None))
 
+    monkeypatch.setattr(oracle, "_completion_rows", [[1]])
     reset()
     return reset
 
@@ -68,3 +74,34 @@ def record(monkeypatch):
         return calls
 
     return start
+
+
+@pytest.fixture
+def race():
+    """race(work, jobs) runs `work(job)` for each job in a thread of its own,
+    all at once under a 1 µs switch interval so that they interleave often,
+    and asserts that each thread ended within 60 s and none raised.  The old
+    interval comes back afterwards."""
+    def run(work, jobs):
+        errors = []
+
+        def guarded(job):
+            try:
+                work(job)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(job,)) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    return run

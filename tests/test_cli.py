@@ -19,18 +19,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_rank(capsys):
-    code, out, _ = run(capsys, "rank", "((00)0(0()))")
-    assert code == 0
-    assert out == "9763\n"
-
-
-def test_unrank(capsys):
-    code, out, _ = run(capsys, "unrank", "5")
-    assert code == 0
-    assert out == "(0)0\n"
-
-
 def test_decompose_text(capsys):
     code, out, _ = run(capsys, "decompose", "((00)0(0()))")
     assert code == 0
@@ -63,13 +51,6 @@ def test_compose(capsys):
     assert out == "((00)0(0()))\n"
 
 
-def test_add_and_sub(capsys):
-    code, out, _ = run(capsys, "add", "()0000000", "(0())0")
-    assert (code, out) == (0, "()0(0())0\n")
-    code, out, _ = run(capsys, "sub", "()0(0())0", "(0())0")
-    assert (code, out) == (0, "()0000000\n")
-
-
 def test_seq(capsys):
     code, out, _ = run(capsys, "seq", "motzkin", "--upto", "5")
     assert (code, out.split()) == (0, ["1", "1", "2", "4", "9", "21"])
@@ -95,14 +76,6 @@ def _parse_table(out: str):
         values = tuple(None if c == cli.DASH else int(c) for c in cells[4:])
         rows.append((int(cells[0]), n, k, cells[2], int(cells[3]), values))
     return rows
-
-
-def test_table_small(capsys):
-    code, out, _ = run(capsys, "table", "--max-n", "4")
-    assert code == 0
-    rows = _parse_table(out)
-    assert len(rows) == 6
-    assert rows[5] == (6, 4, 3, "()00", 4, (7, 6, 3, None, None, None))
 
 
 def test_table_reproduces_the_reference_rows(capsys):

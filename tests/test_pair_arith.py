@@ -21,29 +21,6 @@ from long_words import canonical_text, canonical_texts
 ZERO_WORD = Word("0")
 
 
-def test_padd_worked_example():
-    assert padd(parse("()0000000"), parse("(0())0")) == Word("()0(0())0")
-
-
-def test_padd_identity_element():
-    assert padd(parse("0"), parse("(0)")) == Word("(0)")
-    assert padd(parse("(0)"), parse("0")) == Word("(0)")
-    assert padd(parse("0"), parse("0")) == ZERO_WORD
-
-
-def test_padd_intersection_is_an_error():
-    with pytest.raises(IntersectsError) as exc:
-        padd(parse("(00)"), parse("()"))
-    assert exc.value.position == 4
-
-
-def test_padd_rejects_nesting():
-    # "()" would land inside the other operand's pair span; the merged word
-    # exists but its rank is 242, not 127 + 106, so the operation refuses.
-    with pytest.raises(NestedOperandsError):
-        padd(parse("(000000)"), parse("()00000"))
-
-
 def test_padd_rejects_crossing_spans():
     with pytest.raises(NestedOperandsError):
         padd(parse("(00)0"), parse("00(0)"))
@@ -51,30 +28,6 @@ def test_padd_rejects_crossing_spans():
 
 def test_padd_canonicalizes_padded_operands():
     assert padd(parse("00()00"), parse("0")) == Word("()00")
-
-
-def test_psub_worked_examples():
-    assert psub(parse("()0(0())0"), parse("()0000000")) == Word("(0())0")
-    assert psub(parse("()0(0())0"), parse("(0())0")) == Word("()0000000")
-    assert psub(parse("(0)"), parse("(0)")) == ZERO_WORD
-
-
-def test_psub_not_a_subword():
-    with pytest.raises(NotSubwordError) as exc:
-        psub(parse("(())"), parse("()"))
-    assert exc.value.position == 3
-
-
-def test_psub_block_must_be_top_level():
-    with pytest.raises(NotTopLevelError):
-        psub(parse("(()())"), parse("()0"))
-
-
-def test_psub_block_contents_must_match():
-    # same span, different block: removing "(00)" from "(())" would leave
-    # "()" behind and break rank additivity
-    with pytest.raises(NotTopLevelError):
-        psub(parse("(())"), parse("(00)"))
 
 
 def test_identities_exhaustively(words_through):

@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,11 +59,7 @@ def test_delta_prime_cross_identity():
             sequences.delta(k + 1) - sequences.delta(k) - sequences.motzkin_number(k))
 
 
-def test_completions_spot_values_and_domain():
-    assert sequences.completions(0, 0) == 1
-    assert sequences.completions(3, 1) == 5
-    assert sequences.completions(5, 5) == 1
-    assert sequences.completions(4, 9) == 0
+def test_completions_domain_errors():
     for bad in [(-1, 0), (3, -2)]:
         with pytest.raises(DomainViolationError):
             sequences.completions(*bad)
@@ -83,30 +77,15 @@ def test_paper_sequences_are_identities_of_the_completion_table():
         assert sequences.delta_prime(k) == c(k - 1, 2) + c(k - 1, 3)
 
 
-def test_concurrent_growth_neither_duplicates_nor_skips_rows(fresh_state):
+def test_concurrent_growth_neither_duplicates_nor_skips_rows(fresh_state, race):
     top = 300
-    errors = []
 
-    def grow():
-        try:
-            for r in (*range(0, top, 7), top):
-                sequences.completions(r, r // 3)
-                sequences.completions(r, 0)
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
+    def grow(_):
+        for r in (*range(0, top, 7), top):
+            sequences.completions(r, r // 3)
+            sequences.completions(r, 0)
 
-    threads = [threading.Thread(target=grow) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    race(grow, range(8))
     columns = sequences._columns
     assert len(columns) > top // 3 and len(columns[top // 3]) > top
     for h, column in enumerate(columns):

@@ -49,11 +49,11 @@ def test_the_step_holds_far_down_long_paths_by_the_ballot_sum(r, h):
             c(r - 1, g), c(r - 1, g + 1)), rise
 
 
-def test_the_walk_state_reads_no_column_above_its_height(monkeypatch):
+def test_the_walk_state_reads_no_column_above_its_height(fresh_state):
     c = oracle.completions
     for r in range(40):
         for h in range(r + 2):
-            monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+            fresh_state()
             assert sequences._walk_state(r, h) == (c(r, h), c(r, h + 1)), (r, h)
             assert len(sequences._columns) <= h + 1, (r, h)
 
@@ -81,10 +81,9 @@ def test_walk_and_table_agree_on_every_word_through_length_12(
 @settings(deadline=None, max_examples=25,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(canonical_texts())
-def test_walked_long_words_match_the_oracle_and_round_trip(force_cap, record, text):
-    # fixtures run once per test, not per example, so each example empties the table
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sequences, "_columns", [[1, 1]])
+def test_walked_long_words_match_the_oracle_and_round_trip(fresh_state, force_cap, record, text):
+    fresh_state()  # fixtures run once per test, not per example
+    with pytest.MonkeyPatch.context() as patch:  # so each example records its own steps
         force_cap(0)
         w = Word(text)
         r = rank(w)

@@ -1,10 +1,9 @@
+import math
 import random
-import sys
-import threading
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from motzkin import oracle, sequences, weights
 from motzkin.errors import (
@@ -31,7 +30,7 @@ from motzkin.weights import (
 )
 from motzkin.word_model import Word, matched_pairs, parse
 
-from long_words import canonical_text, canonical_texts
+from long_words import canonical_texts, closable_word
 from reference_table import ROWS
 
 
@@ -172,15 +171,8 @@ def test_unrank_reports_an_inconsistent_table(fresh_state):
             pass
 
 
-@settings(deadline=None, max_examples=25)
-@given(canonical_texts())
-def test_unrank_of_long_words_is_a_valid_word(text):
-    out = unrank(rank(Word(text)))
-    assert type(out) is Word and out.text == text and Word(out.text) == out
-
-
 def test_unrank_calls_completions_above_height_0_only_at_its_one_hand_over(
-        monkeypatch, force_cap, record):
+        monkeypatch, fresh_state, force_cap, record):
     # the walk reads `_columns` directly and calls `_grow` on a miss below the
     # cap; the length search reads column 0 through `completions`, and a
     # hand-over to the table-free walk reads its start through `_walk_state`,
@@ -201,14 +193,14 @@ def test_unrank_calls_completions_above_height_0_only_at_its_one_hand_over(
     rng = random.Random(13)
     deep = "(" * 300 + ")" * 300  # depth 300 reaches _cap(600) = 152
     shipped = ["0", "()", deep, "()" * 300,
-               *(_random_canonical_text(rng, n) for n in (50, 400, 900))]
-    forced = [_random_canonical_text(rng, 200) for _ in range(4)]
+               *(closable_word(n, rng.randrange) for n in (50, 400, 900))]
+    forced = [closable_word(200, rng.randrange) for _ in range(4)]
     walked = []
     for cap, texts in ((None, shipped), (1, forced), (4, forced)):
         if cap is not None:
             force_cap(cap)
         for text in texts:
-            monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+            fresh_state()
             calls.clear()
             handovers.clear()
             assert unrank(oracle.rank_by_counting(Word(text))).text == text
@@ -229,20 +221,20 @@ def test_unrank_calls_completions_above_height_0_only_at_its_one_hand_over(
                       *((4, text) for text in forced)]
 
 
-def test_unrank_from_an_empty_table_inverts_the_counted_rank(monkeypatch, words_through):
+def test_unrank_from_an_empty_table_inverts_the_counted_rank(fresh_state, words_through):
     for w in words_through(12):
-        monkeypatch.setattr(sequences, "_columns", [[1, 1]])
+        fresh_state()
         assert unrank(oracle.rank_by_counting(w)) == w
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(canonical_texts())
-def test_unrank_of_long_words_from_an_empty_table_stores_only_true_counts(text):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sequences, "_columns", [[1, 1]])
-        assert unrank(oracle.rank_by_counting(Word(text))).text == text
-        for h, column in enumerate(sequences._columns):
-            assert column == [oracle.completions(r, h) for r in range(len(column))]
+def test_unrank_of_long_words_from_an_empty_table_stores_only_true_counts(fresh_state, text):
+    fresh_state()  # fixtures run once per test, not per example
+    assert unrank(oracle.rank_by_counting(Word(text))).text == text
+    for h, column in enumerate(sequences._columns):
+        assert column == [oracle.completions(r, h) for r in range(len(column))]
 
 
 @settings(deadline=None)
@@ -270,7 +262,8 @@ def test_decompose_worked_examples():
     assert decompose(parse("0")) == Decomposition(1, (), 0)
 
 
-def test_decompose_weighs_each_pair_once_in_opening_order(record, words_through):
+def test_decompose_weighs_each_pair_once_in_opening_order(force_cap, record, words_through):
+    force_cap(math.inf)  # the table path, which weighs by `pair_nest_weight`
     calls = record(weights, "pair_nest_weight")
     for text in _weighing_texts(words_through):
         w = parse(text)
@@ -302,7 +295,7 @@ def _weighing_texts(words_through):
     """Every canonical word of length <= 9, then two seeded random long ones."""
     rng = random.Random(7)
     texts = [w.text for w in words_through(9)]
-    return texts + [_random_canonical_text(rng, n) for n in (300, 1000)]
+    return texts + [closable_word(n, rng.randrange) for n in (300, 1000)]
 
 
 def test_decompose_rejects_leading_zeros():
@@ -386,9 +379,13 @@ def test_compose_and_decompose_are_mutually_inverse(words_through):
 
 @settings(deadline=None, max_examples=25)
 @given(canonical_texts())
-def test_rank_of_long_words_is_the_decomposition_total_and_the_counted_rank(text):
+@example("(" * 400 + ")" * 400)
+def test_long_words_rank_to_the_decomposition_total_and_the_counted_rank_and_round_trip(text):
     w = Word(text)
-    assert rank(w) == decompose(w).total == oracle.rank_by_counting(w)
+    r = rank(w)
+    assert r == decompose(w).total == oracle.rank_by_counting(w)
+    out = unrank(r)
+    assert type(out) is Word and out == w and Word(out.text) == out
 
 
 def test_first_column_weights_and_first_derivatives():
@@ -437,13 +434,6 @@ def test_deep_nest_weight_satisfies_the_recurrence():
         - pair_nest_weight(1200, 1100, 1048))
 
 
-def test_deep_word_ranks_like_the_oracle_and_round_trips():
-    w = Word("(" * 400 + ")" * 400)
-    r = rank(w)
-    assert r == oracle.rank_by_counting(w)
-    assert unrank(r) == w
-
-
 def test_long_flat_word_ranks_to_the_range_maximum_and_round_trips():
     w = Word("()" * 5000)
     r = rank(w)
@@ -451,59 +441,24 @@ def test_long_flat_word_ranks_to_the_range_maximum_and_round_trips():
     assert unrank(r) == w
 
 
-@st.composite
-def canonical_words(draw):
-    """A canonical word of length 100-400."""
-    n = draw(st.integers(min_value=100, max_value=400))
-    return Word(canonical_text(draw(st.lists(st.integers(min_value=0, max_value=2),
-                                             min_size=n, max_size=n))))
-
-
-@settings(deadline=None, max_examples=25)
-@given(canonical_words())
-def test_rank_and_unrank_of_long_words_agree_with_oracle(w):
-    r = rank(w)
-    assert r == oracle.rank_by_counting(w)
-    assert unrank(r) == w
-
-
-def _random_canonical_text(rng, n):
-    # a pick below 6 chooses evenly among 1, 2 or 3 options
-    return canonical_text([rng.randrange(6) for _ in range(n)])
-
-
-def test_direct_reads_from_an_empty_table_agree_across_threads(fresh_state):
+def test_direct_reads_from_an_empty_table_agree_across_threads(fresh_state, race):
     rng = random.Random(2024)
     jobs = []
     for _ in range(8):
         n = rng.randint(200, 400)
         depth = rng.randint(n // 4, (n - 2) // 2)
-        deep = "(" * depth + _random_canonical_text(rng, n - 2 * depth) + ")" * depth
-        texts = [deep, _random_canonical_text(rng, n), _random_canonical_text(rng, 600 - n)]
+        deep = "(" * depth + closable_word(n - 2 * depth, rng.randrange) + ")" * depth
+        texts = [deep, closable_word(n, rng.randrange), closable_word(600 - n, rng.randrange)]
         jobs.append([(Word(t), oracle.rank_by_counting(Word(t))) for t in texts])
-    results, errors = [], []
+    results = []
 
     def work(job):
-        try:
-            for w, _ in job:
-                ranked = rank(w)
-                total = decompose(w).total
-                results.append((w, total, ranked, unrank(total)))
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
+        for w, _ in job:
+            ranked = rank(w)
+            total = decompose(w).total
+            results.append((w, total, ranked, unrank(total)))
 
-    threads = [threading.Thread(target=work, args=(job,)) for job in jobs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    race(work, jobs)
     expected = {w: r for job in jobs for w, r in job}
     assert len(results) == len(expected) == 24
     for w, total, ranked, back in results:

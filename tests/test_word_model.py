@@ -2,8 +2,6 @@ import copy
 import inspect
 import pickle
 import random
-import sys
-import threading
 from itertools import accumulate, product
 
 import pytest
@@ -455,7 +453,7 @@ def test_words_built_without_parse_are_never_stored(fresh_state):
 
 
 def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_oracle(
-        fresh_state):
+        fresh_state, race):
     rng = random.Random(17)
     shared = [canonical_text(rng.randbytes(n)) for n in (40, 90, 150)]
     jobs = [shared + [canonical_text(rng.randbytes(rng.randrange(20, 160))) for _ in range(6)]
@@ -463,32 +461,18 @@ def test_threads_parsing_and_weighing_shared_and_distinct_texts_agree_with_the_o
     texts = {text for job in jobs for text in job}
     expected = {text: (oracle.rank_by_counting(Word(text)), matched_pairs(Word(text)))
                 for text in texts}
-    results, seen, errors = [], [], []
+    results, seen = [], []
 
     def work(job):
-        try:
-            for _ in range(3):
-                for text in job:
-                    w = parse(text)
-                    seen.append(word_model._last)
-                    results.append((text, w.text, weights.rank(w), weights.decompose(w).total,
-                                    matched_pairs(w)))
-                    seen.append(word_model._last)
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
+        for _ in range(3):
+            for text in job:
+                w = parse(text)
+                seen.append(word_model._last)
+                results.append((text, w.text, weights.rank(w), weights.decompose(w).total,
+                                matched_pairs(w)))
+                seen.append(word_model._last)
 
-    threads = [threading.Thread(target=work, args=(job,)) for job in jobs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    race(work, jobs)
     assert len(results) == 8 * 3 * 9
     for text, parsed, ranked, total, pairs in results:
         assert parsed == text
