@@ -6,16 +6,7 @@ import types
 import pytest
 
 from motzkin import oracle, sequences
-from motzkin.errors import DomainViolationError, NotCanonicalError, RangeTooLargeError
-from motzkin.word_model import parse
-
-
-def test_enumerate_small_ranges():
-    assert [str(w) for w in oracle.enumerate_range(1)] == ["0"]
-    assert [str(w) for w in oracle.enumerate_range(2)] == ["()"]
-    assert [str(w) for w in oracle.enumerate_range(3)] == ["(0)", "()0"]
-    assert [str(w) for w in oracle.enumerate_range(4)] == [
-        "(00)", "(0)0", "(())", "()00", "()()"]
+from motzkin.errors import DomainViolationError, RangeTooLargeError
 
 
 def test_enumerate_sizes_match_unique_counts():
@@ -67,22 +58,6 @@ def test_concurrent_oracle_growth_neither_duplicates_nor_skips_rows(monkeypatch,
     monkeypatch.setattr(oracle, "_completion_rows", [[1]])
     oracle.completions(len(grown) - 1, 0)  # the same rows, grown by one thread
     assert grown == oracle._completion_rows
-
-
-@pytest.mark.parametrize("text, expected", [
-    ("0", 0),
-    ("()", 1),
-    ("()()", 8),
-    ("(0())0", 28),
-    ("()0(0())0", 736),
-])
-def test_rank_by_counting_known_positions(text, expected):
-    assert oracle.rank_by_counting(parse(text)) == expected
-
-
-def test_rank_by_counting_rejects_leading_zeros():
-    with pytest.raises(NotCanonicalError):
-        oracle.rank_by_counting(parse("0()"))
 
 
 def _poisoned_module(name: str) -> types.ModuleType:

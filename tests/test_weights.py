@@ -16,7 +16,6 @@ from motzkin.errors import (
 )
 from motzkin.weights import (
     MAX_COMPOSE_LENGTH,
-    Decomposition,
     DecompositionEntry,
     compose,
     decompose,
@@ -32,21 +31,6 @@ from motzkin.word_model import Word, matched_pairs, parse
 
 from long_words import canonical_texts, closable_word
 from reference_table import ROWS
-
-
-@pytest.mark.parametrize("n, k, expected", [(12, 1, 5798), (6, 2, 22), (9, 8, 708)])
-def test_pair_weight_spot_values(n, k, expected):
-    assert pair_weight(n, k) == expected
-
-
-@pytest.mark.parametrize("n, k, s, expected", [
-    (11, 8, 1, 3932),
-    (4, 3, 2, 3),
-    (6, 2, 1, 30),
-    (5, 3, 2, 9),
-])
-def test_pair_nest_weight_spot_values(n, k, s, expected):
-    assert pair_nest_weight(n, k, s) == expected
 
 
 @pytest.mark.parametrize("n, k, s", [(5, 5, 0), (3, 0, 0), (5, 1, 1), (6, 2, 2), (4, 3, -1)])
@@ -67,11 +51,6 @@ def test_reference_table_reproduced_cell_for_cell():
                     pair_nest_weight(n, k, s)
             else:
                 assert pair_nest_weight(n, k, s) == expected
-
-
-@pytest.mark.parametrize("n, k, expected", [(2, 1, 1), (6, 1, 11), (3, 2, 3)])
-def test_pair_catalog_index_spot_values(n, k, expected):
-    assert pair_catalog_index(n, k) == expected
 
 
 def test_pair_catalog_index_matches_enumeration_order():
@@ -132,11 +111,6 @@ def test_rank_worked_examples(text, expected):
     assert rank(parse(text)) == expected
 
 
-def test_rank_rejects_leading_zeros():
-    with pytest.raises(NotCanonicalError):
-        rank(parse("0()"))
-
-
 # the paper's listing of the first 13 words, then the largest rank of length 9
 @pytest.mark.parametrize("i, text", [
     *enumerate(["0", "()", "(0)", "()0", "(00)", "(0)0", "(())", "()00", "()()",
@@ -192,8 +166,11 @@ def test_unrank_calls_completions_above_height_0_only_at_its_one_hand_over(
     monkeypatch.setattr(sequences, "_walk_state", walk_state)
     rng = random.Random(13)
     deep = "(" * 300 + ")" * 300  # depth 300 reaches _cap(600) = 152
+    # blocks of at most 100 symbols keep a word's height at most 50, under _cap(900) = 67,
+    # so of the shipped words only `deep` walks
     shipped = ["0", "()", deep, "()" * 300,
-               *(closable_word(n, rng.randrange) for n in (50, 400, 900))]
+               *("".join(closable_word(min(100, n - i), rng.randrange) for i in range(0, n, 100))
+                 for n in (50, 400, 900))]
     forced = [closable_word(200, rng.randrange) for _ in range(4)]
     walked = []
     for cap, texts in ((None, shipped), (1, forced), (4, forced)):
@@ -245,23 +222,6 @@ def test_unrank_rank_and_counting_agree_at_scale(i):
     assert oracle.rank_by_counting(w) == i
 
 
-def test_decompose_worked_examples():
-    d = decompose(parse("((00)0(0()))"))
-    assert [(e.n, e.k, e.depth, e.contribution) for e in d.entries] == [
-        (12, 1, 0, 5798), (11, 8, 1, 3932), (6, 2, 1, 30), (4, 3, 2, 3)]
-    assert d.total == 9763
-    assert d.word_length == 12
-
-    d = decompose(parse("(0())0"))
-    assert [(e.n, e.k, e.depth, e.contribution) for e in d.entries] == [
-        (6, 2, 0, 22), (4, 3, 1, 6)]
-    assert d.total == 28
-
-    assert decompose(parse("()")) == Decomposition(
-        2, (DecompositionEntry(2, 1, 0, 1),), 1)
-    assert decompose(parse("0")) == Decomposition(1, (), 0)
-
-
 def test_decompose_weighs_each_pair_once_in_opening_order(force_cap, record, words_through):
     force_cap(math.inf)  # the table path, which weighs by `pair_nest_weight`
     calls = record(weights, "pair_nest_weight")
@@ -271,6 +231,7 @@ def test_decompose_weighs_each_pair_once_in_opening_order(force_cap, record, wor
         entries = decompose(w).entries
         end = len(text) + 1
         assert calls == [(end - a, end - b, s) for a, b, s in matched_pairs(w)]
+        assert type(entries) is tuple
         assert [type(e) for e in entries] == [DecompositionEntry] * len(calls)
         assert [(e.n, e.k, e.depth, e.contribution) for e in entries] == [
             (*c, pair_nest_weight(*c)) for c in calls]
@@ -296,17 +257,6 @@ def _weighing_texts(words_through):
     rng = random.Random(7)
     texts = [w.text for w in words_through(9)]
     return texts + [closable_word(n, rng.randrange) for n in (300, 1000)]
-
-
-def test_decompose_rejects_leading_zeros():
-    with pytest.raises(NotCanonicalError):
-        decompose(parse("00()"))
-
-
-def test_compose_worked_examples():
-    assert compose(12, [(1, 12), (2, 5), (7, 11), (9, 10)]) == Word("((00)0(0()))")
-    assert compose(6, [(1, 5), (3, 4)]) == Word("(0())0")
-    assert compose(1, []) == Word("0")
 
 
 def test_compose_error_cases():
@@ -396,7 +346,7 @@ def test_first_column_weights_and_first_derivatives():
     # the paper's depth-0 and depth-1 closed forms, as identities of the one form
     for n in range(2, 40):
         for k in range(1, n):
-            assert pair_nest_weight(n, k, 0) == (
+            assert pair_weight(n, k) == pair_nest_weight(n, k, 0) == (
                 sequences.motzkin_number(n - 1) + sequences.delta(k))
             if k >= 2:
                 assert pair_nest_weight(n, k, 1) == (
