@@ -5,55 +5,46 @@ from motzkin.errors import DomainViolationError, RangeTooLargeError
 
 
 def test_all_checks_pass_at_small_lengths():
-    results = checks.run_checks(8)
-    assert [r.name for r in results] == [
-        "range-sizes", "lexicographic-order", "rank-agreement",
-        "unrank-bijection", "completions-vs-motzkin", "range-extrema"]
-    assert all(r.passed for r in results)
-    assert all(r.detail for r in results)
+    assert [(r.name, r.passed, r.detail) for r in checks.run_checks(8)] == [
+        ("range-sizes", True, "323 words over lengths 1..8"),
+        ("lexicographic-order", True, "323 words strictly increasing"),
+        ("rank-agreement", True, "323 words"), ("unrank-bijection", True, "323 indices"),
+        ("completions-vs-motzkin", True, "lengths 0..20"), ("range-extrema", True, "lengths 2..8")]
 
 
-def test_a_wrong_rank_formula_is_caught(monkeypatch):
-    # the battery must referee for real, not rubber-stamp
-    true_rank = weights.rank
-
-    def skewed(w):
-        value = true_rank(w)
-        return value + 1 if value == 40 else value
-
-    monkeypatch.setattr(weights, "rank", skewed)
-    results = {r.name: r for r in checks.run_checks(6)}
-    assert not results["rank-agreement"].passed
-    assert "41" in results["rank-agreement"].detail
-
-
-def test_a_wrong_unrank_is_caught(monkeypatch):
-    true_unrank = weights.unrank
-
-    def skewed(i):
-        return true_unrank(i + 1 if i == 7 else i)
-
-    monkeypatch.setattr(weights, "unrank", skewed)
-    results = {r.name: r for r in checks.run_checks(6)}
-    assert not results["unrank-bijection"].passed
-
-
-@pytest.mark.parametrize("skew, detail", [
-    (lambda e: e._replace(max_word=e.min_word),
-     "length 5: enumeration endpoints do not match extrema"),
-    (lambda e: e._replace(min_weight=e.min_weight + 1),
-     "length 5: extrema weights disagree with rank"),
+# the battery must referee for real, not rubber-stamp; "()0" then "(00)" is one
+# consecutive pair, compared once
+@pytest.mark.parametrize("owner, name, skew, failed, detail", [
+    (weights, "rank", lambda true: lambda w: true(w) + (true(w) == 40), "rank-agreement",
+     "(())00: formula 41, counting 40, position 40"),
+    (weights, "unrank", lambda true: lambda i: true(i + (i == 7)), "unrank-bijection",
+     "unrank(7) = ()(), expected ()00"),
+    (checks, "compare_lex", lambda true: lambda a, b: 0 if (a.text, b.text) == ("()0", "(00)")
+     else true(a, b), "lexicographic-order", "()0 !< (00)"),
 ])
-def test_wrong_range_extrema_are_caught(monkeypatch, skew, detail):
+def test_a_wrong_answer_fails_its_own_check(monkeypatch, owner, name, skew, failed, detail):
+    monkeypatch.setattr(owner, name, skew(getattr(owner, name)))
+    results = checks.run_checks(6)
+    assert [(r.name, r.detail) for r in results if not r.passed] == [(failed, detail)]
+
+
+@pytest.mark.parametrize("length, skew, detail", [
+    (5, lambda e: e._replace(max_word=e.min_word),
+     "length 5: enumeration endpoints do not match extrema"),
+    (5, lambda e: e._replace(min_weight=e.min_weight + 1),
+     "length 5: extrema weights disagree with rank"),
+    (2, lambda e: e._replace(max_weight=0), "length 2: extrema weights disagree with rank"),
+])
+def test_wrong_range_extrema_are_caught(monkeypatch, length, skew, detail):
     true_extrema = weights.range_extrema
     monkeypatch.setattr(weights, "range_extrema",
-                        lambda n: skew(true_extrema(n)) if n == 5 else true_extrema(n))
+                        lambda n: skew(true_extrema(n)) if n == length else true_extrema(n))
     results = checks.run_checks(6)
     assert [r.name for r in results if not r.passed] == ["range-extrema"]
     assert results[-1].detail == detail
 
 
-@pytest.mark.parametrize("r, h", [(9, 0), (7, 3)])
+@pytest.mark.parametrize("r, h", [(9, 0), (7, 3), (20, 0), (20, 19)])
 def test_a_wrong_table_entry_is_caught_at_any_height(fresh_state, r, h):
     # the check reads every entry through row 20, growing what is missing, so
     # one run stores them all before one entry is skewed

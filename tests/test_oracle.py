@@ -14,27 +14,30 @@ def test_enumerate_sizes_match_unique_counts():
         assert len(oracle.enumerate_range(n)) == sequences.unique_count(n)
 
 
-def test_enumerate_guards():
-    with pytest.raises(DomainViolationError):
-        oracle.enumerate_range(0)
-    with pytest.raises(RangeTooLargeError):
-        oracle.enumerate_range(oracle.MAX_ENUM_LENGTH + 1)
+# a length the guards admit gets as far as its first word, here a call of None
+@pytest.mark.parametrize("n, error", [(0, DomainViolationError), (1, TypeError),
+                                      (oracle.MAX_ENUM_LENGTH, TypeError),
+                                      (oracle.MAX_ENUM_LENGTH + 1, RangeTooLargeError)])
+def test_enumerate_guards(monkeypatch, n, error):
+    monkeypatch.setattr(oracle, "Word", None)
+    with pytest.raises(error):
+        oracle.enumerate_range(n)
 
 
-def test_completions_match_exhaustive_counting():
-    for r in range(8):
-        for h in range(5):
-            count = 0
-            for candidate in itertools.product("0()", repeat=r):
-                balance = h
-                for char in candidate:
-                    balance += 1 if char == "(" else (-1 if char == ")" else 0)
-                    if balance < 0:
-                        break
-                else:
-                    if balance == 0:
-                        count += 1
-            assert oracle.completions(r, h) == count
+@pytest.mark.parametrize("r", range(8))
+def test_completions_match_exhaustive_counting(r):
+    for h in range(5):
+        count = 0
+        for candidate in itertools.product("0()", repeat=r):
+            balance = h
+            for char in candidate:
+                balance += 1 if char == "(" else (-1 if char == ")" else 0)
+                if balance < 0:
+                    break
+            else:
+                if balance == 0:
+                    count += 1
+        assert oracle.completions(r, h) == count
 
 
 def test_completions_rejects_negative_arguments():

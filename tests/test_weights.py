@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import accumulate, product
 
 import pytest
@@ -259,22 +260,23 @@ def _weighing_texts(words_through):
     return texts + [closable_word(n, rng.randrange) for n in (300, 1000)]
 
 
-def test_compose_error_cases():
-    with pytest.raises(OverlapError):
-        compose(12, [(1, 6), (4, 8)])
-    with pytest.raises(PositionConflictError):
-        compose(6, [(1, 4), (4, 6)])
-    with pytest.raises(NotCanonicalError):
-        compose(6, [(2, 3)])
-    with pytest.raises(DomainViolationError):
-        compose(4, [(1, 7)])
-    with pytest.raises(DomainViolationError):
-        compose(4, [(3, 2)])
-    with pytest.raises(DomainViolationError):
-        compose(0, [])
-    for length in (MAX_COMPOSE_LENGTH + 1, 10**11):  # refused before the word is allocated
-        with pytest.raises(RangeTooLargeError, match=f"maximum of {MAX_COMPOSE_LENGTH}"):
-            compose(length, [(1, 2)])
+# a length the guards admit gets as far as its spans, here one of a lone position
+@pytest.mark.parametrize("length, spans, error, message", [
+    (12, [(1, 6), (4, 8)], OverlapError, "span (1, 6) crosses another span"),
+    (6, [(1, 4), (4, 6)], PositionConflictError, "position 4 claimed twice"),
+    (6, [(2, 3)], NotCanonicalError, "position 1 must open a pair for lengths >= 2"),
+    (4, [(1, 7)], DomainViolationError, "span (1, 7) falls outside 1..4"),
+    (4, [(4, 2)], DomainViolationError, "span (4, 2) must open before it closes"),
+    (4, [(2, 1)], DomainViolationError, "span (2, 1) must open before it closes"),
+    (0, [], DomainViolationError, "compose requires length >= 1, got 0"),
+    (MAX_COMPOSE_LENGTH, [(1,)], ValueError, "not enough values to unpack"),
+    # refused before the word is allocated
+    (MAX_COMPOSE_LENGTH + 1, [(1, 2)], RangeTooLargeError, f"maximum of {MAX_COMPOSE_LENGTH}"),
+    (10**11, [(1, 2)], RangeTooLargeError, f"maximum of {MAX_COMPOSE_LENGTH}"),
+])
+def test_compose_error_cases(length, spans, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        compose(length, spans)
 
 
 def _reference_compose_error(length, spans):
@@ -318,8 +320,9 @@ def test_compose_raises_what_a_crossing_sweep_raises():
     assert checked > 100_000
 
 
-def test_compose_and_decompose_are_mutually_inverse(words_through):
-    for w in words_through(12):
+@pytest.mark.parametrize("n", range(1, 13))
+def test_compose_and_decompose_are_mutually_inverse(n):
+    for w in oracle.enumerate_range(n):
         d = decompose(w)
         length = d.word_length
         spans = [(length - e.n + 1, length - e.k + 1) for e in d.entries]
