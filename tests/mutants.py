@@ -43,6 +43,12 @@ EQUIVALENT = {  # (module, its mutated line, stripped): why no input tells it fr
         "the scan also passes columns of exactly their target length, whose growth is empty",
     ("sequences", "new = [a - b - c for a, b, c in zip(below[n + 1:end + 2], below[n:end], lower)]"):
         "zip stops at the shorter slice, below[n:end]",
+    ("weights", "if rise <= 0:"): "rise is 1 or -1 there, never 0",
+    ("weights", "if rise < 1:"): "rise is 1 or -1 there, never 0",
+    ("checks", "for r in range(top + 2) for h in range(r + 1)"):
+        "the extra row top + 1 agrees between the table and the oracle, as every row does",
+    ("checks", "for r in range(top + 1) for h in range(r + 2)"):
+        "past the diagonal both completions return 0 without reading a table",
 }
 
 
@@ -77,6 +83,13 @@ def mutated(source: str, mutant: tuple[int, str, str]) -> str:
     return (data[:offset] + new.encode() + data[offset + len(old):]).decode()
 
 
+def changed_line(source: str, mutant: tuple[int, str, str]) -> tuple[int, str]:
+    """The number of the line a mutant changes, and that line of the mutated
+    source, stripped: the form `EQUIVALENT` lists it in."""
+    line = source.encode().count(b"\n", 0, mutant[0])
+    return line + 1, mutated(source, mutant).split("\n")[line].strip()
+
+
 def _passes(copy: Path, module: str, timeout: float | None) -> bool:
     """Whether tier-1 passes in the copy, the module's own test files first."""
     own = [name for name in OWN_TESTS.get(module, [f"test_{module}.py"]) if (TESTS / name).exists()]
@@ -107,14 +120,12 @@ def main(modules: list[str]) -> None:
             path = copy / "src" / "motzkin" / f"{name}.py"
             source, equivalent, survivors, killed = path.read_text(encoding="utf-8"), [], [], 0
             for mutant in mutants(source):
-                text = mutated(source, mutant)
-                line = source.encode().count(b"\n", 0, mutant[0])
-                changed = text.split("\n")[line].strip()
-                shown = f"{name}.py:{line + 1}: {changed}"
+                number, changed = changed_line(source, mutant)
+                shown = f"{name}.py:{number}: {changed}"
                 if (name, changed) in EQUIVALENT:
                     equivalent.append(f"{shown}  ({EQUIVALENT[name, changed]})")
                     continue
-                path.write_text(text, encoding="utf-8")
+                path.write_text(mutated(source, mutant), encoding="utf-8")
                 try:
                     if _passes(copy, name, timeout):
                         survivors.append(shown)

@@ -121,52 +121,39 @@ def test_help_lists_add_and_sub(capsys):
                       ["sub", "partial subtraction of two words"]]
 
 
-@pytest.mark.parametrize("argv, fragment", [
-    (["rank", "(()"], "unbalanced"),
-    (["rank", "0()"], "not canonical"),
-    (["add", "(00)", "()"], "position 4"),
-    (["sub", "(())", "()"], "position 3"),
-    (["unrank", "-3"], "nonnegative"),
-    (["compose", "--length", "6", "--pair", "2,3"], "position 1"),
-    (["enumerate", "--length", "40"], "guard"),
-    (["verify", "--max-len", "0"], "n >= 1"),
+_NEGATIVE = "unrank requires a nonnegative index, got "
+_NAMED = "an integer of more than 80 characters"
+_NONCANONICAL = "a value of 10001 characters is not canonical; strip leading zeros first"
+
+
+# A domain error is exit 1, no stdout and one short stderr line, and the
+# interpreter's digit limit comes back.
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "(()"], "unbalanced word: unclosed '('"),
+    (["rank", "0()"], "'0()' is not canonical; strip leading zeros first"),
+    (["rank", "0" + "()" * 5000], _NONCANONICAL),
+    (["decompose", "0" + "()" * 5000], _NONCANONICAL),
+    (["add", "(00)", "()"], "operands intersect at position 4"),
+    (["sub", "(())", "()"], "right operand is not a subword: mismatch at position 3"),
+    (["compose", "--length", "6", "--pair", "2,3"], "position 1 must open a pair for lengths >= 2"),
+    (["enumerate", "--length", "40"],
+     f"length 40 exceeds the enumeration guard of {oracle.MAX_ENUM_LENGTH}"),
+    (["verify", "--max-len", "0"], "enumerate_range requires n >= 1, got 0"),
+    (["unrank", "-3"], _NEGATIVE + "-3"),
+    (["unrank", "-1"], _NEGATIVE + "-1"),
+    (["unrank", "-" + "7" * 79], _NEGATIVE + "-" + "7" * 79),
+    (["unrank", "-" + "7" * 80], _NEGATIVE + _NAMED),
+    (["unrank", "-1" + "0" * 79], _NEGATIVE + _NAMED),
+    (["unrank", "-" + "9" * 79], _NEGATIVE + "-" + "9" * 79),
+    (["unrank", "-" + "9" * 80], _NEGATIVE + _NAMED),
+    (["unrank", "-" + "9" * 4400], _NEGATIVE + _NAMED),
+    (["unrank", "-" + "7" * (cli.MAX_INDEX_DIGITS - 1)], _NEGATIVE + _NAMED),
 ])
-def test_domain_errors_exit_1(capsys, argv, fragment):
+def test_domain_errors_exit_1(capsys, argv, message):
+    limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert fragment in err
-
-
-@pytest.mark.parametrize("argv", [
-    [],
-    ["frobnicate"],
-    ["unrank", "twelve"],
-    ["seq", "motzkin"],
-    ["compose", "--length", "6", "--pair", "junk"],
-])
-def test_usage_errors_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("argv, dest, maximum", [
-    (["seq", "motzkin", "--upto"], "upto", cli.MAX_SEQ_UPTO),
-    (["table", "--max-n"], "max_n", cli.MAX_TABLE_N),
-    (["compose", "--pair", "1,2", "--length"], "length", cli.MAX_COMPOSE_LENGTH),
-])
-def test_sizes_over_the_maximum_are_usage_errors_naming_it(capsys, argv, dest, maximum):
-    assert getattr(cli.build_parser().parse_args(argv + [str(maximum)]), dest) == maximum
-    for bad, message in ((maximum + 1, f"{maximum + 1} is over the maximum of {maximum}"),
-                         ("1.5", "invalid int value: '1.5'")):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + [str(bad)])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines()[-1].endswith(message)
+    assert (code, out, err) == (1, "", f"error: {message}\n") and len(err.encode()) < 200
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_ranks_past_the_int_str_limit_print_exactly(capsys):
@@ -190,95 +177,71 @@ def test_ranks_past_the_int_str_limit_print_exactly(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_unrank_index_past_the_int_str_limit_names_the_limit(capsys):
-    # The CLI's own bound decides, not Python's digit limit.  It exceeds the
-    # digits of M_131071, since M_n < 3**n, so it admits the rank of any word
-    # that fits in one Linux argument (131 071 characters).
+def test_unrank_index_past_the_int_str_limit_names_the_limit():
+    # The CLI's own bound decides, not Python's digit limit; `test_usage_errors_exit_2`
+    # checks the message.  It exceeds the digits of M_131071, since M_n < 3**n, so it
+    # admits the rank of any word that fits in one Linux argument (131 071 characters).
     assert cli.MAX_INDEX_DIGITS > math.ceil(131_071 * math.log10(3)) == 62_537
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith(
-        f"a value of {cli.MAX_INDEX_DIGITS + 1} characters is over the "
-        f"{cli.MAX_INDEX_DIGITS}-character limit")
-    assert "invalid int value" not in err
-    assert "77" not in err
-
-
-_NAMED = "an integer of more than 80 characters"
-
-
-@pytest.mark.parametrize("index, shown", [
-    ("-1", "-1"),
-    ("-" + "7" * 79, "-" + "7" * 79),
-    ("-" + "7" * 80, _NAMED),
-    ("-1" + "0" * 79, _NAMED),
-    ("-" + "9" * 79, "-" + "9" * 79),
-    ("-" + "9" * 80, _NAMED),
-    ("-" + "9" * 4400, _NAMED),
-    ("-" + "7" * (cli.MAX_INDEX_DIGITS - 1), _NAMED),
-])
-def test_a_negative_index_is_echoed_only_up_to_80_characters(capsys, index, shown):
-    code, out, err = run(capsys, "unrank", index)
-    assert (code, out) == (1, "")
-    assert err == f"error: unrank requires a nonnegative index, got {shown}\n"
-    assert len(err.encode()) < 400
-
-
-@pytest.mark.parametrize("command", ["rank", "decompose"])
-def test_a_long_non_canonical_word_is_named_by_its_length(capsys, command):
-    code, out, err = run(capsys, command, "0" + "()" * 5000)
-    assert (code, out) == (1, "")
-    assert err == "error: a value of 10001 characters is not canonical; strip leading zeros first\n"
-    assert len(err.encode()) < 200
 
 
 _LONG = "7" * 5000
 
 
-@pytest.mark.parametrize("argv", [
-    ["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)],
-    ["compose", "--pair", "1,2", "--length", _LONG],
-    ["compose", "--length", "6", "--pair", "1," + _LONG],
-    ["compose", "--length", "6", "--pair", _LONG + ",2"],
-    ["seq", "motzkin", "--upto", _LONG],
-    ["enumerate", "--length", _LONG],
-    ["table", "--max-n", _LONG],
-    ["verify", "--max-len", _LONG],
-    # Under Python's default digit limit: these were read, then echoed in full.
-    ["enumerate", "--length", "7" * 4000],
-    ["verify", "--max-len", "7" * 4000],
-    ["compose", "--length", "6", "--pair", "1," + "7" * 4000],
-])
-def test_every_integer_argument_past_the_int_str_limit_is_a_short_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.encode()) < 400
-    bound = cli.MAX_INDEX_DIGITS if argv[0] == "unrank" else cli.MAX_INTEGER_CHARS
-    assert f"characters is over the {bound}-character limit" in err
-    assert "invalid int value" not in err
-    assert "77" not in err
+def _too_long(argument, chars, bound=cli.MAX_INTEGER_CHARS):
+    return f"argument {argument}: a value of {chars} characters is over the {bound}-character limit"
 
 
+def _over(argument, maximum):
+    return f"argument {argument}: {maximum + 1} is over the maximum of {maximum}"
+
+
+# A usage error is exit 2, no stdout and argparse's usage, then a last line that
+# names a bad value by its length or echoes it only when short; None leaves that
+# line in argparse's own wording.
 @pytest.mark.parametrize("argv, message", [
-    (["seq", "motzkin", "--upto", "7" * 4300],
-     "a value of 4300 characters is over the 80-character limit"),
-    (["unrank", "x" * 4000], "invalid int value: a value of 4000 characters"),
+    ([], None),
+    (["frobnicate"], None),
+    (["seq", "motzkin"], None),
+    (["unrank", "twelve"], "argument index: invalid int value: 'twelve'"),
+    (["compose", "--length", "6", "--pair", "junk"],
+     "argument --pair: expected open,close positions like 3,7 (got 'junk')"),
+    (["seq", "motzkin", "--upto", str(cli.MAX_SEQ_UPTO + 1)], _over("--upto", cli.MAX_SEQ_UPTO)),
+    (["seq", "motzkin", "--upto", "1.5"], "argument --upto: invalid int value: '1.5'"),
+    (["table", "--max-n", str(cli.MAX_TABLE_N + 1)], _over("--max-n", cli.MAX_TABLE_N)),
+    (["table", "--max-n", "1.5"], "argument --max-n: invalid int value: '1.5'"),
+    (["compose", "--pair", "1,2", "--length", str(cli.MAX_COMPOSE_LENGTH + 1)],
+     _over("--length", cli.MAX_COMPOSE_LENGTH)),
+    (["compose", "--pair", "1,2", "--length", "1.5"], "argument --length: invalid int value: '1.5'"),
+    (["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)],
+     _too_long("index", cli.MAX_INDEX_DIGITS + 1, cli.MAX_INDEX_DIGITS)),
+    (["compose", "--pair", "1,2", "--length", _LONG], _too_long("--length", 5000)),
+    (["compose", "--length", "6", "--pair", "1," + _LONG], _too_long("--pair", 5000)),
+    (["compose", "--length", "6", "--pair", _LONG + ",2"], _too_long("--pair", 5000)),
+    (["seq", "motzkin", "--upto", _LONG], _too_long("--upto", 5000)),
+    (["enumerate", "--length", _LONG], _too_long("--length", 5000)),
+    (["table", "--max-n", _LONG], _too_long("--max-n", 5000)),
+    (["verify", "--max-len", _LONG], _too_long("--max-len", 5000)),
+    # Under Python's default digit limit: these were read, then echoed in full.
+    (["enumerate", "--length", "7" * 4000], _too_long("--length", 4000)),
+    (["verify", "--max-len", "7" * 4000], _too_long("--max-len", 4000)),
+    (["compose", "--length", "6", "--pair", "1," + "7" * 4000], _too_long("--pair", 4000)),
+    (["seq", "motzkin", "--upto", "7" * 4300], _too_long("--upto", 4300)),
+    (["unrank", "x" * 4000], "argument index: invalid int value: a value of 4000 characters"),
     (["compose", "--length", "6", "--pair", "7" * 5000],
-     "expected open,close positions like 3,7 (got a value of 5000 characters)"),
+     "argument --pair: expected open,close positions like 3,7 (got a value of 5000 characters)"),
 ])
-def test_long_values_under_the_int_str_limit_are_named_by_their_length(capsys, argv, message):
+def test_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
-    assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.encode()) < 400
-    assert err.splitlines()[-1].endswith(message)
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: motzkin") and len(err.encode()) < 400
+    assert "77" not in err
+    assert ("invalid int value" in err) == ("invalid int value" in (message or ""))
+    assert message is None or err.splitlines()[-1] == f"motzkin {argv[0]}: error: {message}"
+    if message and " is over the maximum of " in message:  # and the maximum itself is read
+        maximum = int(message.rpartition(" ")[2])
+        assert maximum in vars(cli.build_parser().parse_args([*argv[:-1], str(maximum)])).values()
 
 
 def test_the_interpreters_digit_limit_changes_no_output(capsys):
@@ -318,13 +281,6 @@ def test_no_argument_is_read_by_bare_int():
         "rank", "unrank", "decompose", "compose", "add", "sub", "seq", "enumerate",
         "table", "verify"}
     assert [key for key, reader in readers.items() if reader is int] == []
-
-
-def test_the_digit_limit_is_restored_after_a_failed_request(capsys):
-    limit = sys.get_int_max_str_digits()
-    code, _, err = run(capsys, "rank", "(()")
-    assert code == 1 and err.startswith("error: ")
-    assert sys.get_int_max_str_digits() == limit
 
 
 def test_ctrl_c_while_parsing_arguments_is_a_one_line_error_with_exit_130(capsys, monkeypatch):

