@@ -8,13 +8,15 @@ swap in expressions, comparisons and augmented assignments, and every
 integer constant grows by 1.  Each mutant is written into a temporary copy
 of the repository, never into this one, and tier-1 runs there with
 `pytest -x` and a fixed Hypothesis seed, the module's own test files first,
-under a `MEMORY` address-space limit.  A mutant is killed when a test
-fails, or when its run takes over `SLOWDOWN` times the unmutated copy's,
-which is timed first and must pass; a run that times out is ended with
-every process it started.  The mutants in `EQUIVALENT` change no answer,
-for the reason given, and are not run.  For each module it prints how many
-of its mutants were killed, then the line of each equivalent mutant and of
-each survivor.
+under a `MEMORY` address-space limit.  The run leaves out this script's own
+check, `test_mutants.py`, which finds each `EQUIVALENT` line in the source
+and so fails for any mutant of such a line, whatever the package does.  A
+mutant is killed when a test fails, or when its run takes over `SLOWDOWN`
+times the unmutated copy's, which is timed first and must pass; a run that
+times out is ended with every process it started.  The mutants in
+`EQUIVALENT` change no answer, for the reason given, and are not run.  For
+each module it prints how many of its mutants were killed, then the line of
+each equivalent mutant and of each survivor.
 """
 
 import ast
@@ -43,6 +45,8 @@ EQUIVALENT = {  # (module, its mutated line, stripped): why no input tells it fr
         "the scan also passes columns of exactly their target length, whose growth is empty",
     ("sequences", "new = [a - b - c for a, b, c in zip(below[n + 1:end + 2], below[n:end], lower)]"):
         "zip stops at the shorter slice, below[n:end]",
+    ("weights", "n = max(1, (i.bit_length() + 1) * 100 // 159)"):
+        "the guess stays at most n: by i < M_n < 3^n for n >= 82, and at i = M_n - 1 below",
     ("weights", "if rise <= 0:"): "rise is 1 or -1 there, never 0",
     ("weights", "if rise < 1:"): "rise is 1 or -1 there, never 0",
     ("checks", "for r in range(top + 2) for h in range(r + 1)"):
@@ -93,7 +97,8 @@ def changed_line(source: str, mutant: tuple[int, str, str]) -> tuple[int, str]:
 def _passes(copy: Path, module: str, timeout: float | None) -> bool:
     """Whether tier-1 passes in the copy, the module's own test files first."""
     own = [name for name in OWN_TESTS.get(module, [f"test_{module}.py"]) if (TESTS / name).exists()]
-    rest = sorted(path.name for path in TESTS.glob("test_*.py") if path.name not in own)
+    rest = sorted(path.name for path in TESTS.glob("test_*.py")
+                  if path.name not in [*own, "test_mutants.py"])
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)  # no example saved by another run
     try:
         return run_python("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

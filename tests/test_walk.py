@@ -6,6 +6,17 @@ and the calls of `weights` that walk.
 that the table lacks, so a test that checks `unrank`'s walk alone starts it
 from an empty table.  Each path is checked on its own against the oracle,
 and `ballot_sum` checks the walk's step at rows up to 10^4.
+
+Where `unrank` hands over to the walk is checked in one table, `HANDOVERS`.
+A row gives the `completions` call that stores counts before the call (or
+None for an empty table), the cap (forced, or None for `_cap` as shipped),
+the word, and the hand-over as (symbol index, height), or None where the
+call reads the table alone.  For each row `unrank` of the word's index gives
+the word back, and hands over there and nowhere else.  The hand-over reads
+C(r, h), C(r + 1, h) and, above height 0, C(r, h - 1) through `_walk_state`,
+the only calls of `completions` above height 0, and neither it nor the walk
+after it grows the table.  `rank` and `decompose` then give the same index,
+and none of the three calls grows a column at or above the cap.
 """
 
 import math
@@ -21,7 +32,7 @@ from motzkin.word_model import Word
 
 from ballot_sum import ballot_completions
 from child_python import run_python
-from long_words import canonical_text, canonical_texts
+from long_words import canonical_text, canonical_texts, closable_word
 
 GIB = 1 << 30
 
@@ -96,57 +107,76 @@ def test_walked_long_words_match_the_oracle_and_round_trip(fresh_state, force_ca
         assert decompose(w).entries == d.entries
 
 
-@pytest.mark.parametrize("cap", [2, 3, 5])
-def test_unrank_hands_over_mid_word_and_no_call_grows_the_cap_column(
-        cap, fresh_state, force_cap, record):
-    force_cap(cap)
-    handovers = record(weights, "_unrank_walk",
-                       lambda symbols, offset, left, *state: (len(symbols), left))
-    rng = random.Random(cap)
-    texts = [canonical_text([rng.randrange(6) for _ in range(n)]) for n in (30, 80, 200)]
-    # the last word's deepest pair, at depth cap - 2, reads column cap at row cap + 1
-    for text in ["(0(0)((0)0)0)00", "()(()(((00)))0)", *texts,
-                 "(" * (cap - 1) + ")" * (cap - 1) + "000"]:
-        handovers.clear()
-        w = Word(text)
-        r = oracle.rank_by_counting(w)
-        assert rank(w) == decompose(w).total == r
-        assert unrank(r) == w
-        heights = list(accumulate((c == "(") - (c == ")") for c in "0" + text))
-        # the walk takes over at the first bracket after height cap - 1
-        first = [pos for pos, c in enumerate(text) if c != "0" and heights[pos] == cap - 1]
-        assert handovers == [(pos, len(text) - 1 - pos) for pos in first[:1]]
-    assert len(sequences._columns) == cap  # columns 0 .. cap - 1, never cap itself
+def _first_bracket_at(text, height):
+    """(symbol index, height) of the text's first bracket at that height, or None."""
+    heights = accumulate((c == "(") - (c == ")") for c in "0" + text)  # each before its symbol
+    return next(((pos, h) for pos, (c, h) in enumerate(zip(text, heights))
+                 if c != "0" and h == height), None)
+
+
+def _handovers():
+    """The rows (stored, cap, text, hand-over) of the hand-over table."""
+    rng = random.Random(13)
+    # blocks of at most 100 symbols keep a word's height at most 50, under _cap(900) = 67
+    blocks = ["".join(closable_word(min(100, n - i), rng.randrange) for i in range(0, n, 100))
+              for n in (50, 400, 900)]
+    forced = [closable_word(200, rng.randrange) for _ in range(4)]
+    rows = [
+        ((60, 8), 0, "((0((00(((0)))0)))0)", None),  # columns 0 .. 8 hold every count it reads
+        # column 3 holds rows 0 .. 5: the first bracket at height 2 misses it at row 36, and
+        # in the second word the ')' at height 3 misses column 4 at row 2
+        ((5, 3), 3, "((((0))))" + "0" * 30, (2, 2)),
+        ((5, 3), 3, "(" + "0" * 30 + "((0))" + ")", (34, 3)),
+        *((None, None, text, None) for text in ["0", "()", "()" * 300, *blocks]),
+        (None, None, "(" * 300 + ")" * 300, (151, 151)),  # depth 300 passes _cap(600) = 152
+        (None, None, closable_word(1500, random.Random(35).randrange), (342, 23)),  # _cap 24
+        *((None, 1, text, (0, 0)) for text in forced),  # the first symbol misses column 1
+        *((None, 4, text, (pos, 3)) for text, pos in zip(forced, (29, 3, 12, 3))),
+    ]
+    # On a fresh table no column at or above a forced cap exists, so the walk takes over at
+    # the first bracket at height cap - 1.  The last word's deepest pair, at depth cap - 2,
+    # would read column cap on the table path, so `rank` and `decompose` walk it.
+    for cap in (2, 3, 5):
+        rng = random.Random(cap)
+        texts = [canonical_text([rng.randrange(6) for _ in range(n)]) for n in (30, 80, 200)]
+        rows += [(None, cap, text, _first_bracket_at(text, cap - 1))
+                 for text in ["(0(0)((0)0)0)00", "()(()(((00)))0)", *texts,
+                              "(" * (cap - 1) + ")" * (cap - 1) + "000"]]
+    return rows
+
+
+HANDOVERS = _handovers()
 
 
 def _column_lengths():
     return [len(column) for column in sequences._columns]
 
 
-def test_unrank_reads_columns_another_call_stored_at_or_above_the_cap(
-        monkeypatch, fresh_state, force_cap):
-    sequences.completions(60, 8)  # columns 0 .. 8 through row 60 or more
-    lengths = _column_lengths()
-    force_cap(3)
-    monkeypatch.setattr(sequences, "_step", _refuse)
-    text = "((0((00(((0)))0)))0)"  # reaches height 7
-    assert unrank(oracle.rank_by_counting(Word(text))).text == text
-    assert _column_lengths() == lengths
-
-
-@pytest.mark.parametrize("text, first_miss", [
-    ("((((0))))" + "0" * 30, 2),  # the first bracket at height 2 reads column 3 at row 36
-    ("(" + "0" * 30 + "((0))" + ")", 34),  # column 3 holds row 4; the ')' misses column 4
-])
-def test_unrank_walks_from_its_first_miss_and_grows_no_column_at_or_above_the_cap(
-        text, first_miss, fresh_state, force_cap, record):
-    sequences.completions(5, 3)  # column 3 through row 5 only
-    lengths = _column_lengths()
-    force_cap(3)
-    handovers = record(weights, "_unrank_walk", lambda symbols, *state: len(symbols))
-    assert unrank(oracle.rank_by_counting(Word(text))).text == text
-    assert handovers == [first_miss]
-    assert _column_lengths()[3:] == lengths[3:]
+@pytest.mark.parametrize("stored, cap, text, handover", HANDOVERS, ids=[
+    f"{'stored-' * bool(stored)}cap-{'shipped' if cap is None else cap}-{len(text)}-symbols"
+    for stored, cap, text, _ in HANDOVERS])
+def test_unrank_hands_over_to_the_walk_at_its_first_miss_at_or_above_the_cap(
+        stored, cap, text, handover, fresh_state, force_cap, record):
+    if stored:
+        sequences.completions(*stored)
+    if cap is not None:
+        force_cap(cap)
+    cap, w = weights._cap(len(text)), Word(text)
+    # the oracle's triangle would hold about 160 MB at 1500 symbols
+    i = oracle.rank_by_counting(w) if len(text) < 1000 else rank(w)
+    before = _column_lengths()
+    calls = record(sequences, "completions")
+    starts = record(sequences, "_walk_state", lambda r, h: (r, h, len(calls), _column_lengths()))
+    assert unrank(i) == w
+    assert [(len(text) - 1 - r, h) for r, h, _, _ in starts] == ([handover] if handover else [])
+    reads = []
+    for r, h, start, lengths in starts:
+        reads = calls[start:]
+        assert reads == [(r, h), (r + 1, h), (r, h - 1)][:3 if h else 2]
+        assert _column_lengths() == lengths  # the hand-over and the walk after it grow nothing
+    assert [call for call in calls if call[1]] == [call for call in reads if call[1]]
+    assert rank(w) == decompose(w).total == i
+    assert _column_lengths()[cap:] == before[cap:]
 
 
 def test_the_deepest_words_walk_from_478_symbols_on(fresh_state, record):

@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -144,59 +144,6 @@ def test_unrank_reports_an_inconsistent_table(fresh_state):
             unrank(i)
         except MotzkinError:
             pass
-
-
-def test_unrank_calls_completions_above_height_0_only_at_its_one_hand_over(
-        monkeypatch, fresh_state, force_cap, record):
-    # the walk reads `_columns` directly and calls `_grow` on a miss below the
-    # cap; the length search reads column 0 through `completions`, and a
-    # hand-over to the table-free walk reads its start through `_walk_state`,
-    # from entries already stored
-    calls, handovers = record(sequences, "completions"), []
-    true_walk_state = sequences._walk_state
-
-    def lengths():
-        return [len(column) for column in sequences._columns]
-
-    def walk_state(r, h):
-        start, before = len(calls), lengths()
-        state = true_walk_state(r, h)
-        handovers.append((r, h, calls[start:], before, lengths()))
-        return state
-
-    monkeypatch.setattr(sequences, "_walk_state", walk_state)
-    rng = random.Random(13)
-    deep = "(" * 300 + ")" * 300  # depth 300 reaches _cap(600) = 152
-    # blocks of at most 100 symbols keep a word's height at most 50, under _cap(900) = 67,
-    # so of the shipped words only `deep` walks
-    shipped = ["0", "()", deep, "()" * 300,
-               *("".join(closable_word(min(100, n - i), rng.randrange) for i in range(0, n, 100))
-                 for n in (50, 400, 900))]
-    forced = [closable_word(200, rng.randrange) for _ in range(4)]
-    walked = []
-    for cap, texts in ((None, shipped), (1, forced), (4, forced)):
-        if cap is not None:
-            force_cap(cap)
-        for text in texts:
-            fresh_state()
-            calls.clear()
-            handovers.clear()
-            assert unrank(oracle.rank_by_counting(Word(text))).text == text
-            above = [call for call in calls if call[1] > 0]
-            heights = list(accumulate((c == "(") - (c == ")") for c in text))
-            walk_from = weights._cap(len(text))
-            if max(heights) + 1 < walk_from:
-                assert handovers == [] and above == [], text
-                continue
-            walked.append((cap, text))
-            [(r, h, reads, before, after)] = handovers
-            assert reads == [(r, h), (r + 1, h), (r, h - 1)][:3 if h else 2]
-            assert above == reads[:3 if h else 0]
-            assert before == after  # the hand-over grows no column
-            assert h == walk_from - 1
-    # at cap 4 each forced word hands over mid-word, at height 3
-    assert walked == [(None, deep), *((1, text) for text in forced),
-                      *((4, text) for text in forced)]
 
 
 def test_unrank_from_an_empty_table_inverts_the_counted_rank(fresh_state, words_through):

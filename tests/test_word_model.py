@@ -21,7 +21,6 @@ from motzkin.word_model import (
 from motzkin.errors import (
     EmptyInputError,
     IllegalCharacterError,
-    NotTopLevelError,
     UnbalancedError,
 )
 
@@ -246,55 +245,39 @@ def test_none_and_the_empty_text_raise_before_and_after_any_parse():
     assert proc.stdout.split() == ["empty", "empty", "(0)", "empty", "empty"]
 
 
-def _plant_pairs(planted):
-    """Replace the remembered pairs, so a later answer shows whether they were read."""
-    text, w, pairs = word_model._last
-    assert pairs == tuple(_pairs_by_scanning(text))
-    word_model._last = (text, w, planted)
+X, Y, T = "(0)0000", "(())", "((00)0(0()))"
+T_PAIRS = [(1, 12, 0), (2, 5, 1), (7, 11, 1), (9, 10, 2)]
 
 
-def test_a_repeated_text_is_checked_once_and_its_pairs_are_matched_once(fresh_state, record):
-    checked = record(Word, "__post_init__", lambda self: self.text)
-    w = parse("((00)0(0()))")
-    assert parse("((00)0(0()))") is w
-    assert checked == ["((00)0(0()))"]
-    assert word_model._last == (w.text, w, None)
-    assert weights.rank(w) == 9763
-    stored = word_model._last[2]
-    assert stored == ((1, 12, 0), (2, 5, 1), (7, 11, 1), (9, 10, 2))
-    # later calls copy the remembered pairs instead of matching the text again
-    planted = ((1, 12, 0),)
-    word_model._last = (w.text, w, planted)
-    assert matched_pairs(w) == [(1, 12, 0)]
-    assert matched_pairs(Word(w.text)) == [(1, 12, 0)]  # the text decides, not the object
-    assert word_model._last[2] is planted
-    assert checked == ["((00)0(0()))", "((00)0(0()))"]
+@pytest.mark.parametrize("calls, answers, checked, scanned, remembered", [
+    # a repeated text returns the Word it first gave, unchecked and not yet matched
+    (lambda: parse(T) is parse(T), True, [T], [], (T, None)),
+    # a Word built again is checked again, but its text decides: the pairs are copied
+    (lambda: (weights.rank(parse(T)), matched_pairs(parse(T)), matched_pairs(Word(T))),
+     (9763, T_PAIRS, T_PAIRS), [T, T], [T], (T, tuple(T_PAIRS))),
+    # the order of the benchmark's word items
+    (lambda: (weights.rank(parse(T)), weights.unrank(9763).text,
+              weights.decompose(parse(T)).total), (9763, T, 9763), [T], [T], (T, tuple(T_PAIRS))),
+    # the order of the benchmark's pair items: only the right operand is matched
+    (lambda: ((z := padd(parse(X), parse(Y))).text, psub(z, parse(Y)).text),
+     ("(0)(())", X), [X, Y], [Y], (Y, ((1, 4, 0), (2, 3, 1)))),
+    # only the last text is remembered
+    (lambda: [matched_pairs(parse(t)) for t in ("(0)", "(00)", "(0)")],
+     [[(1, 3, 0)], [(1, 4, 0)], [(1, 3, 0)]], ["(0)", "(00)", "(0)"], ["(0)", "(00)", "(0)"],
+     ("(0)", ((1, 3, 0),))),
+], ids=["repeated-text", "word-built-again", "word-items", "pair-items", "last-text-only"])
+def test_parse_checks_and_matches_each_text_once_and_remembers_the_last(
+        calls, answers, checked, scanned, remembered, fresh_state, monkeypatch, record):
+    checks, scans = record(Word, "__post_init__", lambda self: self.text), []
 
+    def scan(text, start):  # of a valid word's calls, only `matched_pairs` enumerates symbols
+        scans.append(text)
+        return enumerate(text, start)
 
-def test_rank_unrank_decompose_checks_and_matches_the_text_once(fresh_state, record):
-    # the order of the benchmark's word items: rank(parse(t)), unrank(r), decompose(parse(t))
-    checked = record(Word, "__post_init__", lambda self: self.text)
-    t = "((00)0(0()))"
-    r = weights.rank(parse(t))
-    assert weights.unrank(r).text == t
-    _plant_pairs(((1, 12, 0),))
-    d = weights.decompose(parse(t))
-    assert [(e.n, e.k, e.depth) for e in d.entries] == [(12, 1, 0)]  # the planted pair alone
-    assert checked == [t]
-
-
-def test_padd_then_psub_checks_and_matches_the_right_operand_once(fresh_state, record):
-    # the order of the benchmark's pair items: padd(parse(x), parse(y)), psub(z, parse(y))
-    checked = record(Word, "__post_init__", lambda self: self.text)
-    x, y = "(0)0000", "(())"
-    z = padd(parse(x), parse(y))
-    assert z.text == "(0)(())"
-    assert word_model._last[0] == y
-    # a planted inner pair at depth 0 is no top-level block of z, so psub refuses it
-    _plant_pairs(((2, 3, 0),))
-    with pytest.raises(NotTopLevelError, match=r"\(5, 6\)"):
-        psub(z, parse(y))
-    assert checked == [x, y]
+    monkeypatch.setattr(word_model, "enumerate", scan, raising=False)
+    assert calls() == answers
+    assert (checks, scans) == (checked, scanned)
+    assert word_model._last == (remembered[0], Word(remembered[0]), remembered[1])
 
 
 def test_mutating_the_pairs_returned_changes_no_later_answer(fresh_state):
@@ -316,15 +299,6 @@ def test_a_failing_text_raises_on_every_parse_and_is_never_stored(fresh_state, t
         with pytest.raises(error):
             parse(text)
     assert word_model._last is empty
-
-
-def test_only_the_last_text_is_remembered(fresh_state):
-    for n in range(1000):
-        text = "(" + "0" * n + ")"
-        w = parse(text)
-        assert matched_pairs(w) == [(1, n + 2, 0)]
-        assert word_model._last == (text, w, ((1, n + 2, 0),))
-    assert word_model._last[0] is text
 
 
 @pytest.mark.parametrize("bound", [65_536, 12])
