@@ -1,9 +1,9 @@
 """The one way tier-1 starts the package in a child interpreter: this
 interpreter's executable, the `src` of a repository root on `PYTHONPATH`
 and that root as the working directory (this repository's unless given),
-a timeout (`TIMEOUT` seconds unless given), and, if asked, an
-address-space limit.  `test_one_place_helpers.py` checks that no other test
-module sets `PYTHONPATH` or `RLIMIT_AS` itself.
+a timeout (`TIMEOUT` seconds unless given), SIGINT at its default and,
+if asked, an address-space limit.  `test_one_place_helpers.py` checks that
+no other test module sets `PYTHONPATH` or `RLIMIT_AS` itself.
 """
 
 import os
@@ -18,10 +18,12 @@ TIMEOUT = 60
 
 
 def _options(memory, env, root=ROOT):
-    options = {"cwd": root, "env": {**os.environ, "PYTHONPATH": str(root / "src"), **env}}
-    if memory is not None:
-        options["preexec_fn"] = lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
-    return options
+    def preexec():  # Ctrl-C stops the child, even where this process ignores it
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        if memory is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    return {"cwd": root, "env": {**os.environ, "PYTHONPATH": str(root / "src"), **env},
+            "preexec_fn": preexec}
 
 
 def run_python(*args, memory=None, root=ROOT, timeout=TIMEOUT):
@@ -29,18 +31,18 @@ def run_python(*args, memory=None, root=ROOT, timeout=TIMEOUT):
     `memory` bytes if given, with stdout and stderr captured as text.
 
     Past `timeout` seconds the child is killed and `subprocess.TimeoutExpired`
-    raised.  A process that no `run_python` started gives its child a session
-    of its own, and every process below that child, started by `run_python`
-    or not, stays in the child's process group; so the timeout kills the
-    whole group, and a run of tier-1 under `tests/mutants.py` ends with all
-    it started."""
+    raised; any other exception that ends the wait early kills it too.  A
+    process that no `run_python` started gives its child a session of its
+    own, and every process below that child, started by `run_python` or not,
+    stays in the child's process group; so the kill ends the whole group, and
+    a run of tier-1 under `tests/mutants.py` ends with all it started."""
     lead = os.getsid(0) != os.getpid()
     with subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, start_new_session=lead,
                           **_options(memory, {}, root)) as proc:
         try:
             stdout, stderr = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
+        except BaseException:  # a timeout, or a signal that ends the caller
             if lead:
                 os.killpg(proc.pid, signal.SIGKILL)
             else:  # the caller's own group: whoever started the caller ends it

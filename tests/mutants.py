@@ -12,16 +12,18 @@ under a `MEMORY` address-space limit.  The run leaves out this script's own
 check, `test_mutants.py`, which finds each `EQUIVALENT` line in the source
 and so fails for any mutant of such a line, whatever the package does.  A
 mutant is killed when a test fails, or when its run takes over `SLOWDOWN`
-times the unmutated copy's, which is timed first and must pass; a run that
-times out is ended with every process it started.  The mutants in
-`EQUIVALENT` change no answer, for the reason given, and are not run.  For
-each module it prints how many of its mutants were killed, then the line of
-each equivalent mutant and of each survivor.
+times the unmutated copy's, which is timed first and must pass.  A run that
+times out, or that a SIGTERM to this script cuts short, is ended with every
+process it started, and a SIGTERM also removes the temporary copy.  The
+mutants in `EQUIVALENT` change no answer, for the reason given, and are not
+run.  For each module it prints how many of its mutants were killed, then
+the line of each equivalent mutant and of each survivor.
 """
 
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -113,6 +115,8 @@ def main(modules: list[str]) -> None:
     if any(not (SRC / f"{name}.py").is_file() for name in names):
         sys.exit(f"error: the modules are {', '.join(sorted(p.stem for p in SRC.glob('*.py')))}")
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # no stale bytecode for a mutant of equal size
+    # SIGTERM unwinds like an exit, so the run's processes are killed and its copy removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(TESTS.parent, copy, ignore=shutil.ignore_patterns(

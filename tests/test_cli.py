@@ -19,53 +19,32 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_decompose_text(capsys):
-    code, out, _ = run(capsys, "decompose", "((00)0(0()))")
-    assert code == 0
-    assert out.splitlines() == [
-        "12 1 0 5798",
-        "11 8 1 3932",
-        "6 2 1 30",
-        "4 3 2 3",
-        "total 9763",
-    ]
+_VERIFIED = ["range-sizes (323 words over lengths 1..8)",
+             "lexicographic-order (323 words strictly increasing)", "rank-agreement (323 words)",
+             "unrank-bijection (323 indices)", "completions-vs-motzkin (lengths 0..20)",
+             "range-extrema (lengths 2..8)"]
 
 
-def test_decompose_json(capsys):
-    code, out, _ = run(capsys, "decompose", "--json", "(0())0")
-    assert code == 0
-    assert json.loads(out) == {
-        "length": 6,
-        "pairs": [
-            {"n": 6, "k": 2, "depth": 0, "contribution": 22},
-            {"n": 4, "k": 3, "depth": 1, "contribution": 6},
-        ],
-        "total": 28,
-    }
-
-
-def test_compose(capsys):
-    code, out, _ = run(capsys, "compose", "--length", "12", "--pair", "1,12",
-                       "--pair", "2,5", "--pair", "7,11", "--pair", "9,10")
-    assert code == 0
-    assert out == "((00)0(0()))\n"
-
-
-def test_seq(capsys):
-    code, out, _ = run(capsys, "seq", "motzkin", "--upto", "5")
-    assert (code, out.split()) == (0, ["1", "1", "2", "4", "9", "21"])
-    code, out, _ = run(capsys, "seq", "unique", "--upto", "4")
-    assert (code, out.split()) == (0, ["1", "1", "2", "5"])
-    code, out, _ = run(capsys, "seq", "delta", "--upto", "4")
-    assert (code, out.split()) == (0, ["0", "1", "3", "8"])
-    code, out, _ = run(capsys, "seq", "delta-prime", "--upto", "5")
-    assert (code, out.split()) == (0, ["0", "1", "4", "13"])
-
-
-def test_enumerate(capsys):
-    code, out, _ = run(capsys, "enumerate", "--length", "4")
-    assert code == 0
-    assert out.splitlines() == ["(00)", "(0)0", "(())", "()00", "()()"]
+# A request that succeeds is exit 0, exactly its stdout and no stderr, and the
+# interpreter's digit limit comes back.
+@pytest.mark.parametrize("argv, stdout", [
+    (["decompose", "((00)0(0()))"], "12 1 0 5798\n11 8 1 3932\n6 2 1 30\n4 3 2 3\ntotal 9763\n"),
+    (["decompose", "--json", "(0())0"],
+     '{"length": 6, "pairs": [{"n": 6, "k": 2, "depth": 0, "contribution": 22}, '
+     '{"n": 4, "k": 3, "depth": 1, "contribution": 6}], "total": 28}\n'),
+    (["compose", "--length", "12", "--pair", "1,12", "--pair", "2,5", "--pair", "7,11",
+      "--pair", "9,10"], "((00)0(0()))\n"),
+    (["seq", "motzkin", "--upto", "5"], "1\n1\n2\n4\n9\n21\n"),
+    (["seq", "unique", "--upto", "4"], "1\n1\n2\n5\n"),
+    (["seq", "delta", "--upto", "4"], "0\n1\n3\n8\n"),
+    (["seq", "delta-prime", "--upto", "5"], "0\n1\n4\n13\n"),
+    (["enumerate", "--length", "4"], "(00)\n(0)0\n(())\n()00\n()()\n"),
+    (["verify", "--max-len", "8"], "".join(f"PASS {line}\n" for line in _VERIFIED)),
+])
+def test_requests_exit_0(capsys, argv, stdout):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, *argv) == (0, stdout, "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def _parse_table(out: str):
@@ -84,14 +63,6 @@ def test_table_reproduces_the_reference_rows(capsys):
     rows = _parse_table(out)
     assert len(rows) == 55
     assert rows[:46] == list(ROWS)
-
-
-def test_verify(capsys):
-    code, out, _ = run(capsys, "verify", "--max-len", "8")
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 6
-    assert all(line.startswith("PASS ") for line in lines)
 
 
 def test_a_failed_verify_prints_every_line_then_one_error_naming_the_failed_checks(

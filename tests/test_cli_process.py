@@ -76,13 +76,19 @@ def test_an_ascii_stdout_takes_all_the_cli_prints(argv):
     assert out and err == b""
 
 
-def test_ctrl_c_is_a_one_line_error_with_exit_130():
-    # The pipe is not drained, so the unbuffered child blocks in a write
-    # until the signal comes.
-    with start_python("-m", "motzkin", "table", "--max-n", "300", PYTHONUNBUFFERED="1") as proc:
-        assert proc.stdout.readline().startswith(b"no\t")
-        proc.send_signal(signal.SIGINT)
-        _, err = proc.communicate(timeout=TIMEOUT)
+# A child inherits an ignored SIGINT, so this holds only because `start_python`
+# restores its default.
+@pytest.mark.parametrize("held", [signal.default_int_handler, signal.SIG_IGN],
+                         ids=["default", "ignored"])
+def test_ctrl_c_is_a_one_line_error_with_exit_130(held):
+    before = signal.signal(signal.SIGINT, held)
+    try:  # the pipe is not drained, so the unbuffered child blocks in a write until the signal
+        with start_python("-m", "motzkin", "table", "--max-n", "300", PYTHONUNBUFFERED="1") as proc:
+            assert proc.stdout.readline().startswith(b"no\t")
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=TIMEOUT)
+    finally:
+        signal.signal(signal.SIGINT, before)
     assert proc.returncode == 130
     assert err == b"error: interrupted\n"
 
