@@ -1,6 +1,5 @@
 import contextlib
 import io
-import json
 import math
 import sys
 
@@ -127,27 +126,6 @@ def test_domain_errors_exit_1(capsys, argv, message):
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_ranks_past_the_int_str_limit_print_exactly(capsys):
-    word = "()" * 4600
-    limit = sys.get_int_max_str_digits()
-    code, rank_out, _ = run(capsys, "rank", word)
-    assert code == 0
-    code, text_out, _ = run(capsys, "decompose", word)
-    assert code == 0
-    code, json_out, _ = run(capsys, "decompose", "--json", word)
-    assert code == 0
-    assert sys.get_int_max_str_digits() == limit
-    sys.set_int_max_str_digits(0)
-    try:
-        expected = sequences.motzkin_number(9200) - 1
-        assert len(str(expected)) > limit
-        assert int(rank_out) == expected
-        assert int(text_out.splitlines()[-1].split()[1]) == expected
-        assert json.loads(json_out)["total"] == expected
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def test_unrank_index_past_the_int_str_limit_names_the_limit():
     # The CLI's own bound decides, not Python's digit limit; `test_usage_errors_exit_2`
     # checks the message.  It exceeds the digits of M_131071, since M_n < 3**n, so it
@@ -192,11 +170,6 @@ def _over(argument, maximum):
     (["enumerate", "--length", _LONG], _too_long("--length", 5000)),
     (["table", "--max-n", _LONG], _too_long("--max-n", 5000)),
     (["verify", "--max-len", _LONG], _too_long("--max-len", 5000)),
-    # Under Python's default digit limit: these were read, then echoed in full.
-    (["enumerate", "--length", "7" * 4000], _too_long("--length", 4000)),
-    (["verify", "--max-len", "7" * 4000], _too_long("--max-len", 4000)),
-    (["compose", "--length", "6", "--pair", "1," + "7" * 4000], _too_long("--pair", 4000)),
-    (["seq", "motzkin", "--upto", "7" * 4300], _too_long("--upto", 4300)),
     (["unrank", "x" * 4000], "argument index: invalid int value: a value of 4000 characters"),
     (["compose", "--length", "6", "--pair", "7" * 5000],
      "argument --pair: expected open,close positions like 3,7 (got a value of 5000 characters)"),
@@ -215,33 +188,40 @@ def test_usage_errors_exit_2(capsys, argv, message):
         assert maximum in vars(cli.build_parser().parse_args([*argv[:-1], str(maximum)])).values()
 
 
-def test_the_interpreters_digit_limit_changes_no_output(capsys):
-    word = "()" * 5000  # its rank has 4766 digits
-    refused = [["enumerate", "--length", "7" * 4000],
-               ["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)],
-               ["unrank", "x" * 5000]]
+_FLAT = "()" * 5000  # rank M_10000 - 1, of 4766 digits
+_ONE_PAIR = "(" + "0" * 9998 + ")"  # rank M_9999, of 4765 digits, and one line to decompose
+_PAST_THE_LIMIT = [["rank", _FLAT], ["rank", _ONE_PAIR], ["decompose", _ONE_PAIR],
+                   ["decompose", "--json", _ONE_PAIR], ["enumerate", "--length", "7" * 4000],
+                   ["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)], ["unrank", "x" * 5000]]
+
+
+# Answers past the interpreter's default digit limit print exactly, and long
+# arguments are refused, the same at any digit limit the caller holds, which comes back.
+def test_answers_past_the_digit_limit_print_exactly_at_any_entry_limit(capsys):
     limit = sys.get_int_max_str_digits()
     outputs = []
     try:
         for entry in (640, 0):
             sys.set_int_max_str_digits(entry)
-            ranked = run(capsys, "rank", word)
-            assert sys.get_int_max_str_digits() == entry
-            results = [ranked, run(capsys, "unrank", ranked[1].strip())]
-            assert sys.get_int_max_str_digits() == entry
-            for argv in refused:
-                with pytest.raises(SystemExit) as exc:
-                    cli.main(argv)
-                results.append((exc.value.code, *capsys.readouterr()))
+            results = []
+            for argv in [*_PAST_THE_LIMIT, None]:  # None: unrank the first rank
+                try:
+                    code = cli.main(argv or ["unrank", results[0][1].strip()])
+                except SystemExit as exc:
+                    code = exc.code
+                results.append((code, *capsys.readouterr()))
                 assert sys.get_int_max_str_digits() == entry
             outputs.append(results)
+        flat, pair = sequences.motzkin_number(10_000) - 1, sequences.motzkin_number(9999)
+        answers = [f"{flat}\n", f"{pair}\n", f"10000 1 0 {pair}\ntotal {pair}\n",
+                   f'{{"length": 10000, "pairs": [{{"n": 10000, "k": 1, "depth": 0, '
+                   f'"contribution": {pair}}}], "total": {pair}}}\n', _FLAT + "\n"]
+        assert len(str(pair)) > sys.int_info.default_max_str_digits
     finally:
         sys.set_int_max_str_digits(limit)
     assert outputs[0] == outputs[1]
-    ranked, back, *refusals = outputs[0]
-    assert ranked[0] == 0 and len(ranked[1]) == 4767
-    assert back == (0, word + "\n", "")
-    assert [(code, out) for code, out, _ in refusals] == [(2, "")] * len(refused)
+    assert outputs[0][:4] + outputs[0][-1:] == [(0, out, "") for out in answers]
+    assert [(code, out) for code, out, _ in outputs[0][4:-1]] == [(2, "")] * 3
 
 
 def test_no_argument_is_read_by_bare_int():

@@ -1,29 +1,28 @@
+"""The command line as a process.  A test here starts a child interpreter
+only where the process itself is under test: a limit, pipe, encoding or
+signal set for it, or what its imports load.  What the CLI reads and
+prints, past the interpreter's default digit limit too, is checked in
+process by `tests/test_cli.py`, and how much memory long words take by the
+children of `tests/test_walk.py`.  Each child here checks one thing:
+
+- out of memory: `rank` and `unrank` past 10^5 symbols, under a 256 MiB
+  address-space limit, end with `error: out of memory` and exit 1;
+- closed pipe: when the reader of `enumerate` leaves, the CLI exits 1 with
+  nothing on stderr;
+- ASCII stdout: `table` and `--help` print under `PYTHONIOENCODING=ascii`;
+- SIGINT: a Ctrl-C while `table` writes is `error: interrupted` and exit
+  130, whether this process holds SIGINT at its default or ignores it;
+- Ctrl-C during import: the same when it arrives while `python -m motzkin`
+  imports `motzkin.cli`;
+- import probe: importing `motzkin.cli` loads neither `dataclasses` nor
+  `inspect`.
+"""
+
 import signal
-import sys
 
 import pytest
 
-from motzkin import sequences
-
 from child_python import TIMEOUT, run_python, start_python
-
-GIB = 1 << 30
-
-
-def test_rank_of_a_10000_symbol_word_prints_in_a_bounded_process():
-    # The rank has 4766 digits, past the interpreter's default int-to-str
-    # limit of 4300, and needs the Motzkin numbers up to M_10000.
-    proc = run_python("-m", "motzkin", "rank", "()" * 5000, memory=GIB)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    answer = proc.stdout.strip()
-    assert len(answer) == 4766
-    sys_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        assert int(answer) == sequences.motzkin_number(10000) - 1
-    finally:
-        sys.set_int_max_str_digits(sys_limit)
 
 
 @pytest.mark.parametrize("argv", [
@@ -36,26 +35,6 @@ def test_running_out_of_memory_is_a_one_line_error(argv):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
-
-
-def test_a_deep_4000_symbol_word_round_trips_in_a_bounded_process():
-    # Its completion table would outgrow the limit; the walk keeps it in column 0.
-    word = "(" * 2000 + ")" * 2000
-    ranked = run_python("-m", "motzkin", "rank", word, memory=GIB)
-    assert ranked.returncode == 0, ranked.stderr
-    back = run_python("-m", "motzkin", "unrank", ranked.stdout.strip(), memory=GIB)
-    assert back.returncode == 0, back.stderr
-    assert back.stdout == word + "\n"
-
-
-def test_a_9543_digit_index_round_trips_in_a_bounded_process():
-    index = "7" * 9543
-    # past the interpreter's default digit limit
-    word = run_python("-m", "motzkin", "unrank", index, memory=GIB)
-    assert word.returncode == 0, word.stderr
-    ranked = run_python("-m", "motzkin", "rank", word.stdout.strip(), memory=GIB)
-    assert ranked.returncode == 0, ranked.stderr
-    assert ranked.stdout == index + "\n"
 
 
 def test_a_closed_stdout_pipe_ends_silently_with_exit_1():

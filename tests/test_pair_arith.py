@@ -19,11 +19,6 @@ from long_words import canonical_text, canonical_texts
 ZERO_WORD = Word("0")
 
 
-def test_padd_rejects_crossing_spans():
-    with pytest.raises(NestedOperandsError):
-        padd(parse("(00)0"), parse("00(0)"))
-
-
 def test_padd_canonicalizes_padded_operands():
     assert padd(parse("00()00"), parse("0")) == Word("()00")
 

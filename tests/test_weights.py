@@ -316,13 +316,6 @@ def test_deep_nest_weight_satisfies_the_recurrence():
         - pair_nest_weight(1200, 1100, 1048))
 
 
-def test_long_flat_word_ranks_to_the_range_maximum_and_round_trips():
-    w = Word("()" * 5000)
-    r = rank(w)
-    assert r == range_extrema(10000).max_weight
-    assert unrank(r) == w
-
-
 def test_direct_reads_from_an_empty_table_agree_across_threads(fresh_state, race):
     rng = random.Random(2024)
     jobs = []
