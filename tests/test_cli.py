@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import math
 import sys
@@ -190,38 +191,61 @@ def test_usage_errors_exit_2(capsys, argv, message):
 
 _FLAT = "()" * 5000  # rank M_10000 - 1, of 4766 digits
 _ONE_PAIR = "(" + "0" * 9998 + ")"  # rank M_9999, of 4765 digits, and one line to decompose
-_PAST_THE_LIMIT = [["rank", _FLAT], ["rank", _ONE_PAIR], ["decompose", _ONE_PAIR],
-                   ["decompose", "--json", _ONE_PAIR], ["enumerate", "--length", "7" * 4000],
-                   ["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)], ["unrank", "x" * 5000]]
+# Each request, its exit code, its stdout and its error line; {flat} and {pair} are the
+# two words' ranks.
+_PAST_THE_LIMIT = {
+    "rank-flat": (["rank", _FLAT], 0, "{flat}\n", None),
+    "rank-one-pair": (["rank", _ONE_PAIR], 0, "{pair}\n", None),
+    "decompose-one-pair": (["decompose", _ONE_PAIR], 0, "10000 1 0 {pair}\ntotal {pair}\n", None),
+    "decompose-json-one-pair": (
+        ["decompose", "--json", _ONE_PAIR], 0,
+        '{{"length": 10000, "pairs": [{{"n": 10000, "k": 1, "depth": 0, "contribution": {pair}}}], '
+        '"total": {pair}}}\n', None),
+    "unrank-flat-rank": (["unrank", "{flat}"], 0, _FLAT + "\n", None),
+    "enumerate-4000-digits": (["enumerate", "--length", "7" * 4000], 2, "",
+                              _too_long("--length", 4000)),
+    "unrank-65537-digits": (["unrank", "7" * (cli.MAX_INDEX_DIGITS + 1)], 2, "",
+                            _too_long("index", cli.MAX_INDEX_DIGITS + 1, cli.MAX_INDEX_DIGITS)),
+    "unrank-5000-letters": (["unrank", "x" * 5000], 2, "",
+                            "argument index: invalid int value: a value of 5000 characters"),
+}
+
+
+@functools.cache
+def _ranks_past_the_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return {"flat": str(sequences.motzkin_number(10_000) - 1),
+                "pair": str(sequences.motzkin_number(9999))}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # Answers past the interpreter's default digit limit print exactly, and long
 # arguments are refused, the same at any digit limit the caller holds, which comes back.
-def test_answers_past_the_digit_limit_print_exactly_at_any_entry_limit(capsys):
+@pytest.mark.parametrize("entry", [640, 0])
+@pytest.mark.parametrize("argv, code, stdout, error", _PAST_THE_LIMIT.values(), ids=_PAST_THE_LIMIT)
+def test_answers_past_the_digit_limit_print_exactly_at_any_entry_limit(
+        capsys, entry, argv, code, stdout, error):
+    ranks = _ranks_past_the_limit()
+    assert len(ranks["pair"]) > sys.int_info.default_max_str_digits
+    argv = [arg.format(**ranks) for arg in argv]
     limit = sys.get_int_max_str_digits()
-    outputs = []
+    sys.set_int_max_str_digits(entry)
     try:
-        for entry in (640, 0):
-            sys.set_int_max_str_digits(entry)
-            results = []
-            for argv in [*_PAST_THE_LIMIT, None]:  # None: unrank the first rank
-                try:
-                    code = cli.main(argv or ["unrank", results[0][1].strip()])
-                except SystemExit as exc:
-                    code = exc.code
-                results.append((code, *capsys.readouterr()))
-                assert sys.get_int_max_str_digits() == entry
-            outputs.append(results)
-        flat, pair = sequences.motzkin_number(10_000) - 1, sequences.motzkin_number(9999)
-        answers = [f"{flat}\n", f"{pair}\n", f"10000 1 0 {pair}\ntotal {pair}\n",
-                   f'{{"length": 10000, "pairs": [{{"n": 10000, "k": 1, "depth": 0, '
-                   f'"contribution": {pair}}}], "total": {pair}}}\n', _FLAT + "\n"]
-        assert len(str(pair)) > sys.int_info.default_max_str_digits
+        try:
+            result = run(capsys, *argv)
+        except SystemExit as exc:
+            result = (exc.code, *capsys.readouterr())
+        assert sys.get_int_max_str_digits() == entry
     finally:
         sys.set_int_max_str_digits(limit)
-    assert outputs[0] == outputs[1]
-    assert outputs[0][:4] + outputs[0][-1:] == [(0, out, "") for out in answers]
-    assert [(code, out) for code, out, _ in outputs[0][4:-1]] == [(2, "")] * 3
+    commands = next(top.choices for top in cli.build_parser()._actions
+                    if isinstance(top.choices, dict))
+    usage = commands[argv[0]].format_usage()
+    err = "" if error is None else f"{usage}motzkin {argv[0]}: error: {error}\n"
+    assert result == (code, stdout.format(**ranks), err)
 
 
 def test_no_argument_is_read_by_bare_int():
